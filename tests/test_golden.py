@@ -1,0 +1,78 @@
+"""CLI stdout and exported files, byte for byte, against committed goldens.
+
+Each case runs `python -m intaut` in a fresh directory and compares its exit
+code, its stdout with tests/golden/<case>.txt and, for exports, the written
+file with tests/golden/<case>.<format>.  After an intended output change,
+regenerate the goldens with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import intaut
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# case -> (argv, exit code, exported file name or None)
+CASES = {
+    "field-info-3": (["field-info", "--p", "3"], 0, None),
+    "field-info-9": (["field-info", "--p", "3", "--h", "2", "--output", "tsv"], 0, None),
+    "field-info-729": (["field-info", "--p", "3", "--h", "6"], 0, None),
+    "field-info-961": (["field-info", "--p", "31", "--h", "2"], 0, None),
+    "spheres-27": (["spheres", "--p", "3", "--n", "3"], 0, None),
+    "spheres-81": (["spheres", "--p", "3", "--h", "2", "--n", "2", "--output", "tsv"],
+                   0, None),
+    "spheres-729": (["spheres", "--p", "3", "--h", "6", "--n", "1"], 0, None),
+    "verify-27": (["verify", "--p", "3", "--n", "3"], 0, None),
+    "verify-27-corrupt": (["verify", "--p", "3", "--n", "3", "--corrupt"], 1, None),
+    "verify-25": (["verify", "--p", "5", "--n", "2", "--output", "tsv"], 0, None),
+    "verify-81": (["verify", "--p", "3", "--h", "2", "--n", "2"], 0, None),
+    "recognize-81": (["recognize", "--p", "3", "--h", "2", "--n", "2",
+                      "--perm-file", str(GOLDEN / "recognize-81.perm")], 0, None),
+    "recognize-27-swap": (["recognize", "--p", "3", "--n", "3",
+                           "--perm-file", str(GOLDEN / "recognize-27-swap.perm")],
+                          1, None),
+    "export-graph6": (["export", "--p", "5", "--n", "2", "--format", "graph6",
+                       "--out", "graph.graph6"], 0, "graph.graph6"),
+    "export-dimacs": (["export", "--p", "3", "--n", "3", "--format", "dimacs",
+                       "--out", "graph.dimacs"], 0, "graph.dimacs"),
+}
+
+
+def run_case(case, workdir):
+    """Exit code, stdout bytes and exported bytes (or None) of one case."""
+    argv, _, exported = CASES[case]
+    env = dict(os.environ, PYTHONPATH=str(Path(intaut.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "intaut", *argv], cwd=workdir,
+                          env=env, capture_output=True)
+    payload = (Path(workdir) / exported).read_bytes() if exported else None
+    return proc.returncode, proc.stdout, payload
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden(case, tmp_path):
+    code, stdout, payload = run_case(case, tmp_path)
+    assert code == CASES[case][1]
+    assert stdout == (GOLDEN / f"{case}.txt").read_bytes()
+    if payload is not None:
+        suffix = Path(CASES[case][2]).suffix
+        assert payload == (GOLDEN / f"{case}{suffix}").read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stdout, payload = run_case(case, tmp)
+        if code != CASES[case][1]:
+            sys.exit(f"{case}: exit {code}, expected {CASES[case][1]}")
+        (GOLDEN / f"{case}.txt").write_bytes(stdout)
+        if payload is not None:
+            (GOLDEN / f"{case}{Path(CASES[case][2]).suffix}").write_bytes(payload)
+        print(f"{case}: {len(stdout)} bytes")

@@ -75,14 +75,10 @@ def _common_flags(sub, with_n=True):
                      help="modulus coefficients, constant term first, e.g. 1,0,1")
     sub.add_argument("--max-points", type=int, default=space.DEFAULT_MAX_POINTS,
                      help="enumeration bound on q^n")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker count (computations are deterministic)")
     sub.add_argument("--output", choices=("text", "tsv"), default="text")
 
 
 def _validate_common(args, min_n=None):
-    if args.threads < 1:
-        raise ConfigError("--threads must be >= 1")
     if args.max_points < 1:
         raise ConfigError("--max-points must be >= 1")
     if min_n is not None and getattr(args, "n", None) is not None and args.n < min_n:

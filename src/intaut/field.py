@@ -9,8 +9,13 @@ bookkeeping.  All operations are pure; a Field is immutable once built.
 
 from __future__ import annotations
 
-# Small-field lookup tables are precomputed up to this size; beyond it the
-# scalar operations fall back to polynomial arithmetic per call.
+from dataclasses import dataclass
+
+import numpy as np
+
+# Up to this size the arithmetic tables are built with the field and the
+# scalar operations read them; beyond it the scalar operations use
+# polynomial arithmetic per call, and the tables are built on first bulk use.
 TABLE_LIMIT = 512
 
 
@@ -136,6 +141,19 @@ def least_irreducible(p: int, h: int) -> tuple:
     raise AssertionError("no irreducible polynomial found; unreachable")
 
 
+@dataclass(frozen=True)
+class FieldTables:
+    """Read-only arithmetic tables of a field, for vectorised gathers."""
+
+    add: np.ndarray        # q x q
+    mul: np.ndarray        # q x q
+    neg: np.ndarray        # q
+    inv: np.ndarray        # q, inv[0] = 0 as a placeholder
+    is_square: np.ndarray  # q, bool, zero counted as a square
+    frob: np.ndarray       # h x q, frob[i][a] = a^(p^i)
+    square_of: np.ndarray  # q, square_of[a] = a*a
+
+
 class Field:
     """GF(p^h) with elements addressed by canonical base-p index.
 
@@ -165,8 +183,12 @@ class Field:
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")
             self.modulus = modulus
         self._tables = None
+        self._add = self._mul = self._neg = self._inv = self._sq = self._frob = None
         if self.q <= TABLE_LIMIT:
-            self._build_tables()
+            # scalar operations index lists, several times faster than numpy items
+            t = self.tables
+            (self._add, self._mul, self._neg, self._inv, self._sq, self._frob) = (
+                a.tolist() for a in (t.add, t.mul, t.neg, t.inv, t.is_square, t.frob))
 
     # -- canonical index <-> coefficient vector --------------------------
 
@@ -199,41 +221,28 @@ class Field:
     # -- arithmetic -------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._tables:
-            if 0 <= a < self.q and 0 <= b < self.q:
-                return self._tables["add"][a][b]
-            self._check(a)
-            self._check(b)
+        if self._add is not None and 0 <= a < self.q and 0 <= b < self.q:
+            return self._add[a][b]
         return self._add_slow(a, b)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        self._check(a)
-        if self._tables:
-            return self._tables["neg"][a]
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.h):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        if self._neg is not None and 0 <= a < self.q:
+            return self._neg[a]
+        return self._mul_slow(a, self.p - 1)
 
     def mul(self, a: int, b: int) -> int:
-        if self._tables:
-            if 0 <= a < self.q and 0 <= b < self.q:
-                return self._tables["mul"][a][b]
-            self._check(a)
-            self._check(b)
+        if self._mul is not None and 0 <= a < self.q and 0 <= b < self.q:
+            return self._mul[a][b]
         return self._mul_slow(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in a finite field")
-        if self._tables:
-            return self._tables["inv"][a]
+        if self._inv is not None and 0 < a < self.q:
+            return self._inv[a]
         return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
@@ -253,14 +262,14 @@ class Field:
         """a^(p^i); the i-th power of the field automorphism x -> x^p."""
         if not 0 <= i < self.h:
             raise ValueError(f"Frobenius exponent {i} not in [0, {self.h})")
-        if self._tables:
-            return self._tables["frob"][i][a]
+        if self._frob is not None and 0 <= a < self.q:
+            return self._frob[i][a]
         return self.pow(a, self.p ** i)
 
     def is_square(self, a: int) -> bool:
         """True iff a is a square, with zero counted as a square."""
-        if self._tables:
-            return self._tables["sq"][a]
+        if self._sq is not None and 0 <= a < self.q:
+            return self._sq[a]
         return a == 0 or self.pow(a, (self.q - 1) // 2) == 1
 
     def primitive_element(self) -> int:
@@ -300,19 +309,44 @@ class Field:
             out = out * self.p + c
         return out
 
-    def _build_tables(self):
-        q = self.q
-        add = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
-        mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        neg = [add[a].index(0) for a in range(q)]
-        inv = [0] + [mul[a].index(1) for a in range(1, q)]
-        self._tables = {"add": add, "mul": mul, "neg": neg, "inv": inv}
-        half = (q - 1) // 2
-        sq = [True] + [self.pow(a, half) == 1 for a in range(1, q)]
-        frob = [[self.pow(a, self.p ** i) for a in range(q)]
-                for i in range(self.h)]
-        self._tables["sq"] = sq
-        self._tables["frob"] = frob
+    @property
+    def tables(self) -> FieldTables:
+        """The arithmetic tables as read-only numpy arrays, built on first use:
+        add and neg digit-wise in base p, the rest from the powers of the
+        primitive element, found and multiplied out by polynomial arithmetic.
+        The q x q temporaries are int32, to keep them small."""
+        # not a functools.cached_property: its direct write into the instance
+        # dict slows every later attribute read, so every scalar operation
+        if self._tables is not None:
+            return self._tables
+        q, p = self.q, self.p
+        index = np.arange(q, dtype=np.int32)
+        add = np.zeros((q, q), dtype=np.int32)
+        for k in range(self.h):
+            d = index // p ** k % p
+            add += (d[:, None] + d[None, :]) % p * p ** k
+        neg = add.argmin(axis=1).astype(np.int32)      # the zero in each row
+
+        order = q - 1
+        g = self.primitive_element()
+        powers = [1]
+        for _ in range(order - 1):
+            powers.append(self._mul_slow(powers[-1], g))
+        power = np.array(powers, dtype=np.int32)         # power[e] = g^e
+        log = np.zeros(q, dtype=np.int64)                # log[0] = 0 unused
+        log[power] = np.arange(order)
+        e = log.astype(np.int32)
+        mul = power[(e[:, None] + e[None, :]) % order]
+        mul[0, :] = mul[:, 0] = 0
+        inv = power[-log % order]
+        frob = np.stack([power[log * p ** i % order] for i in range(self.h)])
+        square_of = power[2 * log % order]
+        inv[0] = frob[:, 0] = square_of[0] = 0
+        is_square = log % 2 == 0                         # zero included
+        for arr in (add, mul, neg, inv, is_square, frob, square_of):
+            arr.setflags(write=False)
+        self._tables = FieldTables(add, mul, neg, inv, is_square, frob, square_of)
+        return self._tables
 
     def __eq__(self, other):
         if not isinstance(other, Field):

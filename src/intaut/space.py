@@ -83,11 +83,6 @@ def enumerate_points(field: Field, n: int, max_points: int = DEFAULT_MAX_POINTS)
     return pts
 
 
-def vec_sub(field: Field, x, y) -> tuple:
-    _check_dims(x, y)
-    return tuple(field.sub(a, b) for a, b in zip(x, y))
-
-
 def vec_add(field: Field, x, y) -> tuple:
     _check_dims(x, y)
     return tuple(field.add(a, b) for a, b in zip(x, y))
@@ -137,9 +132,8 @@ def sphere_counts_enumerated(field: Field, n: int,
     """Exact class sizes by classifying every point; the brute-force oracle."""
     check_size(field, n, max_points)
     norms = _norm_array(field, n)
-    tb = bulk_tables(field)
     zero_norms = int(np.count_nonzero(norms == 0))
-    squares = int(np.count_nonzero(tb.is_square[norms]))
+    squares = int(np.count_nonzero(field.tables.is_square[norms]))
     return SphereCounts(isotropic=zero_norms - 1,  # origin excluded
                         square=squares - zero_norms,
                         nonsquare=field.q ** n - squares,
@@ -185,35 +179,8 @@ def cone(field: Field, n: int, vertex,
 
 
 # ---------------------------------------------------------------------------
-# bulk views used by the permutation and graph machinery
+# bulk views used by the permutation and graph machinery (cached: read-only)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BulkTables:
-    """Field operation tables as numpy arrays, for vectorised gather loops."""
-
-    add: np.ndarray        # q x q
-    mul: np.ndarray        # q x q
-    neg: np.ndarray        # q
-    square_of: np.ndarray  # q, square_of[a] = a*a
-    is_square: np.ndarray  # q, bool
-    frob: np.ndarray       # h x q
-
-
-@functools.lru_cache(maxsize=None)
-def bulk_tables(field: Field) -> BulkTables:
-    q = field.q
-    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)],
-                   dtype=np.int32)
-    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)],
-                   dtype=np.int32)
-    neg = np.array([field.neg(a) for a in range(q)], dtype=np.int32)
-    square_of = np.array([field.mul(a, a) for a in range(q)], dtype=np.int32)
-    sq = np.array([field.is_square(a) for a in range(q)], dtype=bool)
-    frob = np.array([[field.frobenius(a, i) for a in range(q)]
-                     for i in range(field.h)], dtype=np.int32)
-    return BulkTables(add, mul, neg, square_of, sq, frob)
-
 
 @functools.lru_cache(maxsize=None)
 def point_matrix(field: Field, n: int) -> np.ndarray:
@@ -222,12 +189,14 @@ def point_matrix(field: Field, n: int) -> np.ndarray:
     total = q ** n
     ks = np.arange(total, dtype=np.int64)
     cols = [(ks // q ** j) % q for j in range(n)]
-    return np.stack(cols, axis=1).astype(np.int32)
+    out = np.stack(cols, axis=1).astype(np.int32)
+    out.setflags(write=False)
+    return out
 
 
 def _norm_array(field: Field, n: int) -> np.ndarray:
     """norms[k] = sum of squared coordinates of point k."""
-    tb = bulk_tables(field)
+    tb = field.tables
     pts = point_matrix(field, n)
     acc = tb.square_of[pts[:, 0]]
     for j in range(1, n):
@@ -235,7 +204,6 @@ def _norm_array(field: Field, n: int) -> np.ndarray:
     return acc
 
 
-@functools.lru_cache(maxsize=None)
 def distance_matrix(field: Field, n: int,
                     max_points: int = DEFAULT_MAX_POINTS) -> np.ndarray:
     """q^n x q^n array of squared distances between all point pairs."""
@@ -243,7 +211,12 @@ def distance_matrix(field: Field, n: int,
     if total * total > 4_000_000:
         raise TooLargeError(
             f"pairwise table with {total}^2 entries exceeds the bulk bound")
-    tb = bulk_tables(field)
+    return _distance_matrix(field, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _distance_matrix(field: Field, n: int) -> np.ndarray:
+    tb = field.tables
     pts = point_matrix(field, n)
     neg = tb.neg
     acc = None
@@ -252,14 +225,14 @@ def distance_matrix(field: Field, n: int,
         diff = tb.add[col[:, None], neg[col][None, :]]
         term = tb.square_of[diff]
         acc = term if acc is None else tb.add[acc, term]
+    acc.setflags(write=False)
     return acc
 
 
 def integral_matrix(field: Field, n: int,
                     max_points: int = DEFAULT_MAX_POINTS) -> np.ndarray:
     """Boolean matrix of the integral-distance relation (diagonal True)."""
-    tb = bulk_tables(field)
-    return tb.is_square[distance_matrix(field, n, max_points)]
+    return field.tables.is_square[distance_matrix(field, n, max_points)]
 
 
 def zero_distance_matrix(field: Field, n: int,
@@ -268,21 +241,18 @@ def zero_distance_matrix(field: Field, n: int,
     return distance_matrix(field, n, max_points) == 0
 
 
-@functools.lru_cache(maxsize=None)
 def class_of_point(field: Field, n: int,
                    max_points: int = DEFAULT_MAX_POINTS) -> tuple:
     """SphereClass of every point, indexed by canonical point index."""
     check_size(field, n, max_points)
+    return _class_of_point(field, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _class_of_point(field: Field, n: int) -> tuple:
     norms = _norm_array(field, n)
-    tb = bulk_tables(field)
-    out = []
-    for k, w in enumerate(norms.tolist()):
-        if k == 0:
-            out.append(SphereClass.ORIGIN)
-        elif w == 0:
-            out.append(SphereClass.ISOTROPIC)
-        elif tb.is_square[w]:
-            out.append(SphereClass.SQUARE)
-        else:
-            out.append(SphereClass.NONSQUARE)
-    return tuple(out)
+    kind = np.where(field.tables.is_square[norms], 2, 3)
+    kind[norms == 0] = 1
+    kind[0] = 0
+    classes = list(SphereClass)  # ORIGIN, ISOTROPIC, SQUARE, NONSQUARE
+    return tuple(classes[k] for k in kind.tolist())

@@ -144,7 +144,7 @@ def _encode_points(field: Field, coords: np.ndarray) -> np.ndarray:
 def map_permutation_array(field, n, scale, frob, matrix, shift) -> np.ndarray:
     """Image index of every point under the given parameters, as one
     vectorised gather pass over the field tables (no bijectivity check)."""
-    tb = space.bulk_tables(field)
+    tb = field.tables
     pts = space.point_matrix(field, n)
     X = tb.frob[frob][pts]
     cols = []
@@ -257,12 +257,12 @@ def translation_array(field: Field, n: int,
                       max_points: int = DEFAULT_MAX_POINTS) -> np.ndarray:
     """Row b = permutation induced by the translation x -> x + point(b)."""
     total = space.check_size(field, n, max_points)
-    tb = space.bulk_tables(field)
+    add = field.tables.add
     pts = space.point_matrix(field, n)
     cols = []
     for j in range(n):
         col = pts[:, j]
-        cols.append(tb.add[col[None, :], col[:, None]])  # [b, k]
+        cols.append(add[col[None, :], col[:, None]])  # [b, k]
     stacked = np.stack(cols, axis=2).reshape(total * total, n)
     return _encode_points(field, stacked).reshape(total, total)
 
@@ -374,34 +374,33 @@ def recognize_semiaffine(field: Field, n: int, perm,
     return None
 
 
+def _preserves(relation, field: Field, n: int, perm, max_points) -> bool:
+    """Whether perm preserves relation(field, n, max_points) in both directions."""
+    total = space.check_size(field, n, max_points)
+    check_bijection(perm, total)
+    rel = relation(field, n, max_points)
+    p = np.asarray(perm, dtype=np.int64)
+    return bool(np.array_equal(rel[p][:, p], rel))
+
+
 def preserves_integral(field: Field, n: int, perm,
                        max_points: int = DEFAULT_MAX_POINTS) -> bool:
     """Whether the integral-distance relation is preserved in both directions."""
-    total = space.check_size(field, n, max_points)
-    check_bijection(perm, total)
-    rel = space.integral_matrix(field, n, max_points)
-    p = np.asarray(perm, dtype=np.int64)
-    return bool(np.array_equal(rel[p][:, p], rel))
+    return _preserves(space.integral_matrix, field, n, perm, max_points)
 
 
 def satisfies_zero_iff(field: Field, n: int, perm,
                        max_points: int = DEFAULT_MAX_POINTS) -> bool:
     """Whether distance zero is preserved in both directions over all pairs."""
-    total = space.check_size(field, n, max_points)
-    check_bijection(perm, total)
-    rel = space.zero_distance_matrix(field, n, max_points)
-    p = np.asarray(perm, dtype=np.int64)
-    return bool(np.array_equal(rel[p][:, p], rel))
+    return _preserves(space.zero_distance_matrix, field, n, perm, max_points)
 
 
 @functools.lru_cache(maxsize=None)
-def _cone_index_sets(field: Field, n: int, max_points: int) -> tuple:
-    pts = space.enumerate_points(field, n, max_points)
-    out = []
-    for vertex in pts:
-        members = space.cone(field, n, vertex, max_points)
-        out.append(frozenset(space.canonical_index(field, p) for p in members))
-    return tuple(out)
+def _cone_index_sets(field: Field, n: int) -> tuple:
+    total = space.num_points(field, n)
+    return tuple(frozenset(space.canonical_index(field, p)
+                           for p in space.cone(field, n, vertex, total))
+                 for vertex in space.enumerate_points(field, n, total))
 
 
 def preserves_cones(field: Field, n: int, perm,
@@ -413,7 +412,7 @@ def preserves_cones(field: Field, n: int, perm,
     """
     total = space.check_size(field, n, max_points)
     check_bijection(perm, total)
-    cones = _cone_index_sets(field, n, max_points)
+    cones = _cone_index_sets(field, n)
     for vertex in range(total):
         image = {perm[x] for x in cones[vertex]}
         if image != cones[perm[vertex]]:

@@ -212,8 +212,3 @@ def test_export_too_large_exits_2(tmp_path):
     res = run_cli("export", "--p", "3", "--h", "1", "--n", "3",
                   "--format", "graph6", "--out", str(out), "--max-points", "5")
     assert res.returncode == 2
-
-
-def test_threads_flag_validated():
-    res = run_cli("spheres", "--p", "3", "--h", "1", "--n", "2", "--threads", "0")
-    assert res.returncode == 2

@@ -312,9 +312,9 @@ class Field:
     @property
     def tables(self) -> FieldTables:
         """The arithmetic tables as read-only numpy arrays, built on first use:
-        add and neg digit-wise in base p, the rest from the powers of the
-        primitive element, found and multiplied out by polynomial arithmetic.
-        The q x q temporaries are int32, to keep them small."""
+        add digit-wise in base p, neg from add, the rest from the powers of
+        the primitive element, found and multiplied out by polynomial
+        arithmetic.  The q x q temporaries are int32, to keep them small."""
         # not a functools.cached_property: its direct write into the instance
         # dict slows every later attribute read, so every scalar operation
         if self._tables is not None:
@@ -333,7 +333,7 @@ class Field:
         for _ in range(order - 1):
             powers.append(self._mul_slow(powers[-1], g))
         power = np.array(powers, dtype=np.int32)         # power[e] = g^e
-        log = np.zeros(q, dtype=np.int64)                # log[0] = 0 unused
+        log = np.zeros(q, dtype=np.int64)                # log[0] = 0: see below
         log[power] = np.arange(order)
         e = log.astype(np.int32)
         mul = power[(e[:, None] + e[None, :]) % order]
@@ -342,7 +342,7 @@ class Field:
         frob = np.stack([power[log * p ** i % order] for i in range(self.h)])
         square_of = power[2 * log % order]
         inv[0] = frob[:, 0] = square_of[0] = 0
-        is_square = log % 2 == 0                         # zero included
+        is_square = log % 2 == 0                         # zero included, by log[0]
         for arr in (add, mul, neg, inv, is_square, frob, square_of):
             arr.setflags(write=False)
         self._tables = FieldTables(add, mul, neg, inv, is_square, frob, square_of)

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
+import random
 
 import pytest
 
 from intaut import Field, is_irreducible, least_irreducible, make_field
-from intaut.field import poly_str
+from intaut.field import TABLE_LIMIT, poly_str
 
 SMALL_FIELDS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)]
 
@@ -111,6 +113,25 @@ def test_out_of_range_rejected(f3):
         f3.coeffs(-1)
 
 
+OPS = {
+    "is_square": lambda f, a: f.is_square(a),
+    "inv": lambda f, a: f.inv(a),
+    "frobenius": lambda f, a: f.frobenius(a, 0),
+    "neg": lambda f, a: f.neg(a),
+    "add": lambda f, a: f.add(1, a),
+    "mul": lambda f, a: f.mul(a, 1),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+@pytest.mark.parametrize("p,h", [(5, 1), (3, 6)])   # tabled, untabled
+def test_scalar_ops_reject_out_of_range(p, h, op):
+    f = Field(p, h)
+    for a in (-1, -2, f.q, f.q + 2):
+        with pytest.raises(ValueError):
+            OPS[op](f, a)
+
+
 # -- field axioms, exhaustive for q <= 81 ------------------------------------
 
 @pytest.mark.parametrize("p,h", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1),
@@ -215,6 +236,78 @@ def test_primitive_element(f9, f49):
             power = f.mul(power, g)
             seen.add(power)
         assert len(seen) == f.q - 1
+
+
+# -- the arithmetic tables against the polynomial arithmetic ------------------
+
+def _pow_slow(f, a, e):
+    """a^e by square and multiply over the polynomial product alone."""
+    result, base = 1, a
+    while e:
+        if e & 1:
+            result = f._mul_slow(result, base)
+        base = f._mul_slow(base, base)
+        e >>= 1
+    return result
+
+
+def _check_tables(f, pairs, singles):
+    t = f.tables
+    for a, b in pairs:
+        assert t.add[a, b] == f._add_slow(a, b)
+        assert t.mul[a, b] == f._mul_slow(a, b)
+    for a in singles:
+        assert f._add_slow(a, int(t.neg[a])) == 0
+        assert t.square_of[a] == f._mul_slow(a, a)
+        assert t.is_square[a] == (a == 0 or _pow_slow(f, a, (f.q - 1) // 2) == 1)
+        assert t.frob[:, a].tolist() == [_pow_slow(f, a, f.p ** i)
+                                         for i in range(f.h)]
+        if a:
+            assert t.inv[a] == _pow_slow(f, a, f.q - 2)
+
+
+# every small field, plus a non-default modulus for GF(9) and GF(25)
+ORACLE_FIELDS = [(p, h, None) for p, h in SMALL_FIELDS] + [(3, 2, (2, 2, 1)),
+                                                          (5, 2, (2, 1, 1))]
+
+
+@pytest.mark.parametrize("p,h,modulus", ORACLE_FIELDS)
+def test_tables_match_polynomial_arithmetic_exhaustively(p, h, modulus):
+    f = Field(p, h, modulus)
+    if modulus is not None:
+        assert f.modulus != least_irreducible(p, h)
+    _check_tables(f, itertools.product(range(f.q), repeat=2), range(f.q))
+
+
+@pytest.mark.parametrize("p,h", [(3, 6), (31, 2)])
+def test_tables_match_polynomial_arithmetic_sampled(p, h):
+    f = Field(p, h)
+    rng = random.Random(f"{p}^{h}")
+    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
+    singles = [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(60)]
+    _check_tables(f, pairs, singles)
+
+
+@pytest.mark.parametrize("p,h", [(5, 1), (3, 6)])
+def test_tables_are_read_only(p, h):
+    t = Field(p, h).tables
+    for name in (fld.name for fld in dataclasses.fields(t)):
+        arr = getattr(t, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+
+
+def test_tables_built_on_first_bulk_use_above_the_limit():
+    f = Field(3, 6)
+    assert f.q > TABLE_LIMIT
+    assert f.is_square(5) == f.tables.is_square[5]
+    g = Field(3, 6)
+    g.mul(5, 7)
+    g.inv(5)
+    g.frobenius(5, 1)
+    assert g._tables is None         # scalar operations stay polynomial
+    assert Field(3, 5)._tables is not None
 
 
 def test_poly_str():

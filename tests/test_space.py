@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
-from intaut import Field, TooLargeError
-from intaut.space import (SphereClass, canonical_index, classify, cone,
-                          distance, enumerate_points, is_integral, norm,
-                          point_of_index, sphere_counts_enumerated,
+from intaut import Field, TooLargeError, build_integral_graph
+from intaut.space import (DEFAULT_MAX_POINTS, SphereClass, canonical_index,
+                          class_of_point, classify, cone, distance,
+                          distance_matrix, enumerate_points, is_integral, norm,
+                          point_matrix, point_of_index, sphere_counts_enumerated,
                           sphere_counts_formula)
 
 # (p, h, n) for every grid instance with q^n <= 20000
@@ -160,3 +161,24 @@ def test_cone_contains_vertex_and_translates(f3):
 def test_norm_agrees_with_distance_from_origin(f9):
     for v in enumerate_points(f9, 2):
         assert norm(f9, v) == distance(f9, v, (0, 0))
+
+
+@pytest.mark.parametrize("p,h,n", [(3, 1, 3), (5, 1, 2), (3, 2, 2), (7, 1, 3)])
+def test_class_of_point_matches_classify(p, h, n):
+    f = Field(p, h)
+    expected = tuple(classify(f, v) for v in enumerate_points(f, n))
+    assert class_of_point(f, n) == expected
+
+
+# -- shared caches -----------------------------------------------------------
+
+def test_cached_arrays_are_read_only_with_one_entry():
+    f = Field(3)
+    dm = distance_matrix(f, 2, DEFAULT_MAX_POINTS)
+    assert dm is distance_matrix(f, 2)
+    assert class_of_point(f, 2) is class_of_point(f, 2, DEFAULT_MAX_POINTS)
+    for arr in (dm, point_matrix(f, 2)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 1] = 2
+    assert build_integral_graph(f, 2).num_edges == 18

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InternalInconsistencyError
+
 # Up to this size the arithmetic tables are built with the field and the
 # scalar operations read them; beyond it the scalar operations use
 # polynomial arithmetic per call, and the tables are built on first bulk use.
@@ -138,7 +140,7 @@ def least_irreducible(p: int, h: int) -> tuple:
         coeffs.append(1)
         if is_irreducible(coeffs, p):
             return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found; unreachable")
+    raise InternalInconsistencyError("no irreducible polynomial found")
 
 
 @dataclass(frozen=True)
@@ -282,7 +284,7 @@ class Field:
                 order += 1
             if order == target:
                 return g
-        raise AssertionError("multiplicative group has no generator; unreachable")
+        raise InternalInconsistencyError("multiplicative group has no generator")
 
     # -- internals --------------------------------------------------------
 

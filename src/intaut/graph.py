@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InternalInconsistencyError, TooLargeError
 from .field import Field
-from . import space, transform
+from . import orbits, space, transform
 from .space import DEFAULT_MAX_POINTS
 
 MAX_AUT_VERTICES = 750
@@ -308,30 +308,28 @@ def verify_classification(field: Field, n: int, *,
                           max_points: int = DEFAULT_MAX_POINTS) -> ClassificationReport:
     """Compare the graph automorphism group with the map-family group.
 
-    Checks that every map-family permutation preserves adjacency, then
-    compares orders.  Equal and StrictlyLarger are the two legitimate
-    outcomes; anything else (containment failure, or a smaller graph group)
-    is a Violation.
+    Every family generator must preserve adjacency and every engine generator
+    must be recognized as a family map; orders come from the engine and the
+    closed form.  Equal and StrictlyLarger are the two legitimate outcomes;
+    anything else (containment failure, or a smaller graph group) is a
+    Violation.
     """
     if graph is None:
         graph = build_integral_graph(field, n, max_points)
     aut = automorphism_group(graph)
-    sa = transform.semiaffine_group(field, n, max_points=max_points)
-    sa_arr = np.asarray(sa, dtype=np.int32)
-    ok = bool(transform.batch_preserves(sa_arr, graph.adjacency).all())
-    extra = None
-    if ok and aut.order > len(sa):
+    gens = orbits.semiaffine_generators(field, n, max_points)
+    ok = bool(transform.batch_preserves(np.stack(gens), graph.adjacency).all())
+    sa_order = transform.semiaffine_order(field, n)
+    extra = next((g for g in aut.generators
+                  if transform.recognize_semiaffine(field, n, g, max_points) is None),
+                 None)
+    if ok and aut.order > sa_order:
         verdict = Verdict.STRICTLY_LARGER
-        sa_set = set(sa)
-        for g in aut.generators:
-            if g not in sa_set:
-                extra = g
-                break
-    elif ok and aut.order == len(sa):
+    elif ok and aut.order == sa_order and extra is None:
         verdict = Verdict.EQUAL
     else:
-        verdict = Verdict.VIOLATION
-    return ClassificationReport(verdict, aut.order, len(sa), ok, extra,
+        verdict, extra = Verdict.VIOLATION, None
+    return ClassificationReport(verdict, aut.order, sa_order, ok, extra,
                                 aut.node_count, aut.generators)
 
 
@@ -389,21 +387,25 @@ def parse_graph6(data) -> np.ndarray:
         raise ValueError("invalid graph6 character")
     if codes[0] < 63:
         num, pos = codes[0], 1
-    elif len(codes) >= 2 and codes[1] < 63:
+    elif len(codes) >= 4 and codes[1] < 63:
         num = (codes[1] << 12) | (codes[2] << 6) | codes[3]
         pos = 4
-    else:
+    elif len(codes) >= 8 and codes[1] == 63:
         num = 0
         for c in codes[2:8]:
             num = (num << 6) | c
         pos = 8
+    else:
+        raise ValueError("truncated graph6 size header")
+    needed = num * (num - 1) // 2
+    payload = -(-needed // 6)
+    if len(codes) - pos != payload:
+        raise ValueError(f"graph6 payload of {num} vertices must be {payload} "
+                         f"bytes, got {len(codes) - pos}")
     bits = []
     for c in codes[pos:]:
         for shift in range(5, -1, -1):
             bits.append((c >> shift) & 1)
-    needed = num * (num - 1) // 2
-    if len(bits) < needed:
-        raise ValueError("graph6 payload too short")
     adj = np.zeros((num, num), dtype=bool)
     idx = 0
     for j in range(1, num):
@@ -437,12 +439,18 @@ def parse_dimacs(text) -> np.ndarray:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise ValueError(f"bad DIMACS problem line: {raw!r}")
-            num = int(parts[2])
+            if adj is not None:
+                raise ValueError(f"second DIMACS problem line: {raw!r}")
+            num, declared = int(parts[2]), int(parts[3])
             adj = np.zeros((num, num), dtype=bool)
         elif parts[0] == "e":
             if adj is None:
                 raise ValueError("DIMACS edge before problem line")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            try:
+                _, a, b = parts
+            except ValueError:
+                raise ValueError(f"bad DIMACS edge line: {raw!r}") from None
+            u, v = int(a) - 1, int(b) - 1
             if not (0 <= u < num and 0 <= v < num):
                 raise ValueError(f"DIMACS edge out of range: {raw!r}")
             adj[u, v] = adj[v, u] = True
@@ -450,4 +458,10 @@ def parse_dimacs(text) -> np.ndarray:
             raise ValueError(f"unknown DIMACS line: {raw!r}")
     if adj is None:
         raise ValueError("DIMACS input has no problem line")
+    if adj.diagonal().any():
+        raise ValueError("DIMACS input has a self-loop")
+    edges = int(adj.sum()) // 2
+    if edges != declared:
+        raise ValueError(f"DIMACS problem line declares {declared} edges, "
+                         f"found {edges}")
     return adj

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAGroupError, TooLargeError
+from .errors import InternalInconsistencyError, NotAGroupError, TooLargeError
 from .field import Field
 from . import space, transform
 from .space import DEFAULT_MAX_POINTS, SphereClass
@@ -146,6 +146,20 @@ def m_generators(field: Field, n: int,
     return gens
 
 
+def semiaffine_generators(field: Field, n: int,
+                          max_points: int = DEFAULT_MAX_POINTS) -> list:
+    """m_generators, one Frobenius map when h > 1, and the translations by the
+    basis vectors, which the scalars carry onto every translation."""
+    gens = m_generators(field, n, max_points)
+    identity = transform.mat_identity(n)
+    if field.h > 1:
+        gens.append(transform.map_permutation_array(
+            field, n, 1, 1, identity, (0,) * n))
+    gens.extend(transform.map_permutation_array(field, n, 1, 0, identity, row)
+                for row in identity)
+    return gens
+
+
 def m_orbits(field: Field, n: int,
              max_points: int = DEFAULT_MAX_POINTS) -> OrbitDecomposition:
     """Orbits of the scalar-orthogonal group on the point set."""
@@ -223,7 +237,7 @@ def orbital_connected(field: Field, n: int, sphere_class: SphereClass,
     step_set = set(steps)
     for s in steps:
         if tuple(field.neg(c) for c in s) not in step_set:
-            raise AssertionError("step class is not symmetric; unreachable")
+            raise InternalInconsistencyError("step class is not symmetric")
     seen = bytearray(total)
     seen[0] = 1
     frontier = [(0,) * n]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotABijectionError, TooLargeError
+from .errors import InternalInconsistencyError, NotABijectionError, TooLargeError
 from .field import Field
 from . import space
 from .space import DEFAULT_MAX_POINTS
@@ -285,8 +285,19 @@ def semiaffine_group(field: Field, n: int, *,
     if uniq.shape[0] != len(linear) * total:
         # distinct linear actions stay distinct after composing with every
         # translation; a collision here means the dedup above was wrong
-        raise AssertionError("unexpected action collision in group assembly")
+        raise InternalInconsistencyError(
+            "unexpected action collision in group assembly")
     return [tuple(row) for row in uniq.tolist()]
+
+
+def semiaffine_order(field: Field, n: int) -> int:
+    """Order of the map family's group, q^n * h * (q - 1) * |O(n, q)| / 2; by
+    Witt's theorem |O(n, q)| is the product over k <= n of the norm-one vector
+    counts 2 * square(k) / (q - 1)."""
+    orth = 1
+    for k in range(1, n + 1):
+        orth *= 2 * space.sphere_counts_formula(field, k).square // (field.q - 1)
+    return field.q ** n * field.h * (field.q - 1) * orth // 2
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +390,7 @@ def _preserves(relation, field: Field, n: int, perm, max_points) -> bool:
     total = space.check_size(field, n, max_points)
     check_bijection(perm, total)
     rel = relation(field, n, max_points)
-    p = np.asarray(perm, dtype=np.int64)
-    return bool(np.array_equal(rel[p][:, p], rel))
+    return bool(batch_preserves(np.asarray([perm]), rel)[0])
 
 
 def preserves_integral(field: Field, n: int, perm,

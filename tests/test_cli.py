@@ -1,7 +1,10 @@
 import subprocess
 import sys
 
-from intaut import Field, identity_perm, to_permutation, write_permutation_file
+import pytest
+
+from intaut import (Field, InternalInconsistencyError, cli, graph,
+                    identity_perm, to_permutation, write_permutation_file)
 from intaut.transform import SemiaffineMap, enumerate_orthogonal
 
 
@@ -129,6 +132,31 @@ def test_verify_deterministic_bytes():
     b = run_cli("verify", "--p", "3", "--h", "1", "--n", "2", "--output", "tsv")
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
+
+
+def _intransitive_report(field, n, **_):
+    # claims equality but hands over only the identity: the transitivity
+    # self-check in cmd_verify must refuse it
+    return graph.ClassificationReport(graph.Verdict.EQUAL, 1, 1, True, None, 0,
+                                      (tuple(range(field.q ** n)),))
+
+
+def _inconsistent(*args, **kwargs):
+    raise InternalInconsistencyError("boom")
+
+
+def _crash(*args, **kwargs):
+    raise KeyError("boom")
+
+
+@pytest.mark.parametrize("fake, name", [
+    (_inconsistent, "InternalInconsistencyError"), (_crash, "KeyError"),
+    (_intransitive_report, "InternalInconsistencyError")])
+def test_verify_internal_error_exits_3(monkeypatch, capsys, fake, name):
+    monkeypatch.setattr(graph, "verify_classification", fake)
+    assert cli.main(["verify", "--p", "3", "--n", "2"]) == cli.INTERNAL_ERROR == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and name in err
 
 
 # -- recognize -------------------------------------------------------------------

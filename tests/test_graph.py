@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intaut import Field, TooLargeError
 from intaut.graph import (Verdict, automorphism_group, build_integral_graph,
@@ -307,14 +308,65 @@ def test_dimacs_accepts_comments():
 
 
 def test_dimacs_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_dimacs("p edge 3 1\nx 1 2\n")
-    with pytest.raises(ValueError):
-        parse_dimacs("e 1 2\n")
+    for text in ["p edge 3 1\nx 1 2\n",
+                 "e 1 2\n",
+                 "p edge 3 1\ne 1 1\n",              # self-loop
+                 "p edge 3 5\ne 1 2\n",              # declared edge count
+                 "p edge 3 1\ne 1\n",                # missing endpoint
+                 "p edge 3 1\ne 1 2 3\n",            # extra endpoint
+                 "p edge 3 1\ne 1 2\np edge 3 0\n"]:  # second problem line
+        with pytest.raises(ValueError):
+            parse_dimacs(text)
 
 
 def test_graph6_rejects_bad_input():
-    with pytest.raises(ValueError):
-        parse_graph6("")
-    with pytest.raises(ValueError):
-        parse_graph6("\x01\x02")
+    for data in ["", "\x01\x02",
+                 b"~",            # truncated 3-byte size header
+                 b"~??",
+                 b"~~??",         # truncated 6-byte size header
+                 b"A_junk",       # trailing bytes after the payload
+                 b"B"]:           # payload too short
+        with pytest.raises(ValueError):
+            parse_graph6(data)
+
+
+@st.composite
+def small_graphs(draw):
+    m = draw(st.integers(0, 40))
+    bits = draw(st.lists(st.booleans(), min_size=m * (m - 1) // 2,
+                         max_size=m * (m - 1) // 2))
+    adj = np.zeros((m, m), dtype=bool)
+    adj[np.triu_indices(m, 1)] = bits
+    return adj | adj.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_formats_round_trip_random_graphs(adj):
+    assert np.array_equal(parse_graph6(graph6_bytes(adj)), adj)
+    assert np.array_equal(parse_dimacs(dimacs_text(adj)), adj)
+
+
+# Inputs in each format's own alphabet reach the parsers' checks far more
+# often than raw bytes do, and keep every declared size small.
+GRAPH6_LIKE = st.lists(st.integers(63, 126), max_size=12).map(bytes)
+DIMACS_LINE = st.one_of(
+    st.tuples(st.integers(-1, 4), st.integers(-1, 6)).map(
+        lambda t: f"p edge {t[0]} {t[1]}"),
+    st.lists(st.integers(-1, 5), max_size=3).map(
+        lambda xs: " ".join(["e", *map(str, xs)])),
+    st.lists(st.sampled_from(["p", "edge", "e", "c", "x", "1", "a"]),
+             max_size=5).map(" ".join))
+DIMACS_LIKE = st.lists(DIMACS_LINE, max_size=6).map(lambda ls: "\n".join(ls).encode())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=64), GRAPH6_LIKE, DIMACS_LIKE))
+def test_parsers_raise_only_value_error(data):
+    for parse in (parse_graph6, parse_dimacs):
+        try:
+            adj = parse(data)
+        except ValueError:
+            continue
+        assert adj.dtype == bool and adj.shape[0] == adj.shape[1]
+        assert (adj == adj.T).all() and not adj.diagonal().any()

@@ -94,27 +94,42 @@ def _refine_cells(adj: np.ndarray, cells, worklist=None):
     cells, so splitting by it is sound; new fragments are enqueued, which
     guarantees every surviving cell was used as a splitter after its
     creation.  Fragment order inside a split is by neighbor count.
+
+    A splitter that gives every vertex of a cell the same count leaves that
+    cell alone; the per-cell minimum and maximum of the counts, taken over
+    a cell-ordered vertex array rebuilt only after a real split, find the
+    cells it does split, and only those are grouped vertex by vertex.
     """
     cells = [list(c) for c in cells]
     queue = deque([list(c) for c in (worklist if worklist is not None else cells)])
-    while queue:
+    if queue:
+        cells = [c for c in cells if c]   # any splitter drops empty cells
+    order = starts = None
+    while queue and cells:
         splitter = queue.popleft()
         counts = adj[:, splitter].sum(axis=1)
+        if order is None:
+            order = np.fromiter((v for c in cells for v in c), np.intp)
+            starts = np.cumsum([0] + [len(c) for c in cells[:-1]])
+        ordered = counts[order]
+        split = np.flatnonzero(np.minimum.reduceat(ordered, starts)
+                               != np.maximum.reduceat(ordered, starts))
+        if not split.size:
+            continue
         new_cells = []
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
+        done = 0
+        for pos in split.tolist():
+            new_cells.extend(cells[done:pos])
+            done = pos + 1
             groups = {}
-            for v in cell:
+            for v in cells[pos]:
                 groups.setdefault(int(counts[v]), []).append(v)
-            if len(groups) == 1:
-                new_cells.append(cell)
-                continue
             for key in sorted(groups):
                 new_cells.append(groups[key])
                 queue.append(groups[key])
+        new_cells.extend(cells[done:])
         cells = new_cells
+        order = None
     return cells
 
 
@@ -338,6 +353,8 @@ def verify_classification(field: Field, n: int, *,
 # ---------------------------------------------------------------------------
 
 GRAPH6_MAX = 68719476735
+GRAPH6_SHIFTS = np.arange(5, -1, -1, dtype=np.uint8)
+GRAPH6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1])
 
 
 def graph6_bytes(graph) -> bytes:
@@ -352,19 +369,10 @@ def graph6_bytes(graph) -> bytes:
         header = bytes([126]) + _graph6_chunks(num, 3)
     else:
         header = bytes([126, 126]) + _graph6_chunks(num, 6)
-    bits = []
-    for j in range(1, num):
-        for i in range(j):
-            bits.append(1 if adj[i, j] else 0)
-    body = bytearray()
-    for start in range(0, len(bits), 6):
-        group = bits[start:start + 6]
-        group += [0] * (6 - len(group))
-        value = 0
-        for b in group:
-            value = (value << 1) | b
-        body.append(value + 63)
-    return header + bytes(body) + b"\n"
+    bits = adj.T[np.tril_indices(num, -1)]       # adj[i, j] for i < j, by j
+    bits = np.concatenate([bits, np.zeros(-bits.size % 6, dtype=bool)])
+    body = bits.reshape(-1, 6) @ GRAPH6_WEIGHTS + 63
+    return header + body.astype(np.uint8).tobytes() + b"\n"
 
 
 def _graph6_chunks(value: int, count: int) -> bytes:
@@ -382,17 +390,22 @@ def parse_graph6(data) -> np.ndarray:
         line = line[len(">>graph6<<"):]
     if not line:
         raise ValueError("empty graph6 input")
-    codes = [ord(ch) - 63 for ch in line]
-    if any(c < 0 or c > 63 for c in codes):
+    try:
+        codes = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        raise ValueError("invalid graph6 character") from None
+    if ((codes < 63) | (codes > 126)).any():
         raise ValueError("invalid graph6 character")
-    if codes[0] < 63:
-        num, pos = codes[0], 1
-    elif len(codes) >= 4 and codes[1] < 63:
-        num = (codes[1] << 12) | (codes[2] << 6) | codes[3]
+    codes = codes - np.uint8(63)
+    head = codes[:8].tolist()
+    if head[0] < 63:
+        num, pos = head[0], 1
+    elif len(head) >= 4 and head[1] < 63:
+        num = (head[1] << 12) | (head[2] << 6) | head[3]
         pos = 4
-    elif len(codes) >= 8 and codes[1] == 63:
+    elif len(head) == 8 and head[1] == 63:
         num = 0
-        for c in codes[2:8]:
+        for c in head[2:8]:
             num = (num << 6) | c
         pos = 8
     else:
@@ -402,27 +415,21 @@ def parse_graph6(data) -> np.ndarray:
     if len(codes) - pos != payload:
         raise ValueError(f"graph6 payload of {num} vertices must be {payload} "
                          f"bytes, got {len(codes) - pos}")
-    bits = []
-    for c in codes[pos:]:
-        for shift in range(5, -1, -1):
-            bits.append((c >> shift) & 1)
+    bits = ((codes[pos:, None] >> GRAPH6_SHIFTS) & 1).astype(bool).ravel()
+    if bits[needed:].any():
+        raise ValueError("graph6 padding bits must be zero")
     adj = np.zeros((num, num), dtype=bool)
-    idx = 0
-    for j in range(1, num):
-        for i in range(j):
-            if bits[idx]:
-                adj[i, j] = adj[j, i] = True
-            idx += 1
-    return adj
+    adj.T[np.tril_indices(num, -1)] = bits[:needed]
+    return adj | adj.T
 
 
 def dimacs_text(graph) -> str:
     """DIMACS edge format: p-line then one 1-indexed e-line per edge, u < v."""
     adj = _as_matrix(graph)
     num = adj.shape[0]
-    edges = [(i, j) for i in range(num) for j in range(i + 1, num) if adj[i, j]]
-    lines = [f"p edge {num} {len(edges)}"]
-    lines.extend(f"e {i + 1} {j + 1}" for i, j in edges)
+    rows, cols = np.nonzero(np.triu(adj, 1))
+    lines = [f"p edge {num} {rows.size}"]
+    lines.extend(f"e {i} {j}" for i, j in zip((rows + 1).tolist(), (cols + 1).tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -224,36 +224,36 @@ def orbital_connected(field: Field, n: int, sphere_class: SphereClass,
 
     The step set is closed under negation (squaring kills the sign), which is
     verified rather than assumed, so directed and undirected connectivity
-    agree and a breadth-first search settles the question.
+    agree and a breadth-first search settles the question.  The search runs
+    on point indices, one frontier level at a time: each level adds every
+    step to every frontier point with one gather per coordinate.
     """
     if sphere_class is SphereClass.ORIGIN:
         raise ValueError("connectivity is defined for the nonzero classes only")
     total = space.check_size(field, n, max_points)
     classes = space.class_of_point(field, n, max_points)
-    steps = [space.point_of_index(field, n, k)
-             for k in range(total) if classes[k] is sphere_class]
-    if not steps:
+    steps = np.fromiter((k for k in range(total) if classes[k] is sphere_class),
+                        np.intp)
+    if not steps.size:
         return OrbitalStatus.DEGENERATE
-    step_set = set(steps)
-    for s in steps:
-        if tuple(field.neg(c) for c in s) not in step_set:
-            raise InternalInconsistencyError("step class is not symmetric")
-    seen = bytearray(total)
-    seen[0] = 1
-    frontier = [(0,) * n]
-    reached = 1
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in steps:
-                y = space.vec_add(field, x, s)
-                k = space.canonical_index(field, y)
-                if not seen[k]:
-                    seen[k] = 1
-                    reached += 1
-                    nxt.append(y)
-        frontier = nxt
-    return OrbitalStatus.CONNECTED if reached == total else OrbitalStatus.DISCONNECTED
+    tb = field.tables
+    pts = space.point_matrix(field, n)
+    weights = field.q ** np.arange(n)
+    negated = np.sort(tb.neg[pts[steps]] @ weights)
+    if not np.array_equal(negated, steps):
+        raise InternalInconsistencyError("step class is not symmetric")
+    seen = np.zeros(total, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        reached = sum(tb.add[pts[frontier, j][:, None], pts[steps, j]] * weights[j]
+                      for j in range(n))
+        fresh = np.zeros(total, dtype=bool)
+        fresh[reached.ravel()] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    return OrbitalStatus.CONNECTED if seen.all() else OrbitalStatus.DISCONNECTED
 
 
 def close_group_array(generators, size: int, *,

@@ -407,18 +407,18 @@ def satisfies_zero_iff(field: Field, n: int, perm,
 
 @functools.lru_cache(maxsize=None)
 def _cone_index_sets(field: Field, n: int) -> tuple:
-    total = space.num_points(field, n)
-    return tuple(frozenset(space.canonical_index(field, p)
-                           for p in space.cone(field, n, vertex, total))
-                 for vertex in space.enumerate_points(field, n, total))
+    zero = space.zero_distance_matrix(field, n, space.num_points(field, n))
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in zero)
 
 
 def preserves_cones(field: Field, n: int, perm,
                     max_points: int = DEFAULT_MAX_POINTS) -> bool:
     """Whether the image of every cone is the cone of the image vertex.
 
-    Logically equivalent to satisfies_zero_iff; implemented independently via
-    explicit cone sets so the two routes can be checked against each other.
+    Logically equivalent to satisfies_zero_iff, but checked as images of
+    explicit cone sets rather than pair by pair, so the two routes can be
+    checked against each other.  The cone of a vertex is read off its row of
+    space.zero_distance_matrix; space.cone stays the scalar oracle for it.
     """
     total = space.check_size(field, n, max_points)
     check_bijection(perm, total)

@@ -325,7 +325,8 @@ def test_graph6_rejects_bad_input():
                  b"~??",
                  b"~~??",         # truncated 6-byte size header
                  b"A_junk",       # trailing bytes after the payload
-                 b"B"]:           # payload too short
+                 b"B",            # payload too short
+                 b"Aa"]:          # nonzero padding bits (K_2 is b"A_")
         with pytest.raises(ValueError):
             parse_graph6(data)
 

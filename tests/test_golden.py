@@ -1,9 +1,11 @@
-"""CLI stdout and exported files, byte for byte, against committed goldens.
+"""CLI stdout, exported files and search results against committed goldens.
 
 Each case runs `python -m intaut` in a fresh directory and compares its exit
 code, its stdout with tests/golden/<case>.txt and, for exports, the written
-file with tests/golden/<case>.<format>.  After an intended output change,
-regenerate the goldens with
+file with tests/golden/<case>.<format>.  tests/golden/aut-ladder.txt pins the
+`AutGroupResult` of the automorphism search on relabeled graphs of 343 to 729
+points: order, node count, number of generators and a sha256 of the
+generators.  After an intended output change, regenerate the goldens with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,9 +15,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hashlib
+
+import numpy as np
 import pytest
 
 import intaut
+from intaut import Field, automorphism_group, build_integral_graph
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -46,6 +52,27 @@ CASES = {
 }
 
 
+# (p, h, n) of the relabeled graphs whose search result is pinned
+LADDER = [(7, 1, 3), (3, 1, 6), (3, 2, 3), (3, 3, 2), (5, 2, 2)]
+LADDER_SEED = 2014
+LADDER_GOLDEN = GOLDEN / "aut-ladder.txt"
+
+
+def ladder_text():
+    """One tab-separated line per ladder graph: q^n label, order, node count,
+    number of generators and sha256 of the generators as little-endian int32."""
+    lines = []
+    for p, h, n in LADDER:
+        adj = build_integral_graph(Field(p, h), n).adjacency
+        inv = np.argsort(np.random.default_rng(LADDER_SEED).permutation(adj.shape[0]))
+        res = automorphism_group(adj[inv][:, inv])
+        gens = np.asarray(res.generators, dtype="<i4").reshape(-1, adj.shape[0])
+        digest = hashlib.sha256(gens.tobytes()).hexdigest()
+        lines.append(f"{p ** h}^{n}\t{res.order}\t{res.node_count}"
+                     f"\t{len(res.generators)}\t{digest}")
+    return "\n".join(lines) + "\n"
+
+
 def run_case(case, workdir):
     """Exit code, stdout bytes and exported bytes (or None) of one case."""
     argv, _, exported = CASES[case]
@@ -66,6 +93,10 @@ def test_golden(case, tmp_path):
         assert payload == (GOLDEN / f"{case}{suffix}").read_bytes()
 
 
+def test_aut_ladder_golden():
+    assert ladder_text() == LADDER_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     import tempfile
     for case in sorted(CASES):
@@ -77,3 +108,5 @@ if __name__ == "__main__":
         if payload is not None:
             (GOLDEN / f"{case}{Path(CASES[case][2]).suffix}").write_bytes(payload)
         print(f"{case}: {len(stdout)} bytes")
+    LADDER_GOLDEN.write_text(ladder_text())
+    print(f"aut-ladder: {LADDER_GOLDEN.stat().st_size} bytes")

@@ -20,9 +20,9 @@ from .transform import (SemiaffineMap, identity_map, normalize_map, apply_map,
                         satisfies_zero_iff, preserves_cones,
                         compose_perms, invert_perm, identity_perm,
                         read_permutation_file, write_permutation_file)
-from .orbits import (OrbitDecomposition, OrbitalStatus, UnionFind,
-                     orbits_under, classify_partition, m_orbits,
-                     stabilizer_orbits, orbital_connected, orbital_neighbors,
+from .orbits import (OrbitDecomposition, OrbitalStatus, orbits_under,
+                     classify_partition, m_orbits, stabilizer_orbits,
+                     orbital_connected, orbital_neighbors,
                      close_permutation_group, reflection_matrix)
 from .graph import (IntegralGraph, AutGroupResult, ClassificationReport,
                     Verdict, build_integral_graph, complement_graph, flip_edge,

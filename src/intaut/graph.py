@@ -87,38 +87,56 @@ def _as_matrix(graph) -> np.ndarray:
 # equitable refinement on ordered partitions
 # ---------------------------------------------------------------------------
 
-def _refine_cells(adj: np.ndarray, cells, worklist=None):
+def _columns(adj: np.ndarray) -> np.ndarray:
+    """The adjacency columns as contiguous uint8 rows: row v is adj[:, v]."""
+    return np.ascontiguousarray(adj.T).view(np.uint8)
+
+
+def _refine_cells(cols: np.ndarray, cells, worklist=None):
     """Coarsest equitable refinement of an ordered partition.
+
+    `cols` is `_columns(adj)`.  The neighbor counts into a splitter S are
+    adj[:, S].sum(axis=1): the row cols[v] when S = [v], a sum of rows of
+    cols otherwise.
 
     Every splitter snapshot is a former cell, hence a union of current
     cells, so splitting by it is sound; new fragments are enqueued, which
     guarantees every surviving cell was used as a splitter after its
     creation.  Fragment order inside a split is by neighbor count.
 
-    A splitter that gives every vertex of a cell the same count leaves that
-    cell alone; the per-cell minimum and maximum of the counts, taken over
-    a cell-ordered vertex array rebuilt only after a real split, find the
-    cells it does split, and only those are grouped vertex by vertex.
+    The vertices of the cells with more than one vertex are held in one
+    cell-ordered array, rebuilt only after a real split, next to a mask of
+    the positions whose successor lies in the same cell.  A splitter splits
+    exactly the cells in which two such neighbors get different counts, so
+    one comparison over that array finds them, and only those are grouped
+    vertex by vertex.  Once every cell is a singleton the remaining
+    splitters are dropped.
     """
     cells = [list(c) for c in cells]
     queue = deque([list(c) for c in (worklist if worklist is not None else cells)])
     if queue:
         cells = [c for c in cells if c]   # any splitter drops empty cells
-    order = starts = None
+    order = None
     while queue and cells:
         splitter = queue.popleft()
-        counts = adj[:, splitter].sum(axis=1)
         if order is None:
-            order = np.fromiter((v for c in cells for v in c), np.intp)
-            starts = np.cumsum([0] + [len(c) for c in cells[:-1]])
+            big = [k for k, c in enumerate(cells) if len(c) > 1]
+            if not big:
+                break
+            order = np.fromiter((v for k in big for v in cells[k]), np.intp)
+            cell_of = np.repeat(big, [len(cells[k]) for k in big])
+            inner = cell_of[1:] == cell_of[:-1]
+        if len(splitter) == 1:
+            counts = cols[splitter[0]]
+        else:
+            counts = cols[splitter].sum(axis=0)
         ordered = counts[order]
-        split = np.flatnonzero(np.minimum.reduceat(ordered, starts)
-                               != np.maximum.reduceat(ordered, starts))
-        if not split.size:
+        moved = (ordered[1:] != ordered[:-1]) & inner
+        if not moved.any():
             continue
         new_cells = []
         done = 0
-        for pos in split.tolist():
+        for pos in sorted(set(cell_of[1:][moved].tolist())):
             new_cells.extend(cells[done:pos])
             done = pos + 1
             groups = {}
@@ -160,7 +178,7 @@ def refine_coloring(graph, initial=None):
     covered = sorted(v for cell in initial for v in cell)
     if covered != list(range(adj.shape[0])):
         raise ValueError("initial coloring must partition the vertex set")
-    cells = _refine_cells(adj, initial)
+    cells = _refine_cells(_columns(adj), initial)
     cells.sort(key=lambda c: min(c))
     return [tuple(sorted(c)) for c in cells]
 
@@ -208,8 +226,9 @@ def automorphism_group(graph, *, max_vertices: int = MAX_AUT_VERTICES) -> AutGro
         return AutGroupResult(1, (), 0)
 
     node_count = 0
+    cols = _columns(adj)
 
-    root = _refine_cells(adj, [list(range(num))])
+    root = _refine_cells(cols, [list(range(num))])
     path = [root]
     base = []
     target_pos = []
@@ -222,7 +241,7 @@ def automorphism_group(graph, *, max_vertices: int = MAX_AUT_VERTICES) -> AutGro
         base.append(v)
         target_pos.append(pos)
         split, frags = _individualize(cur, v)
-        cur = _refine_cells(adj, split, worklist=frags)
+        cur = _refine_cells(cols, split, worklist=frags)
         path.append(cur)
     path_sizes = [_cell_sizes(c) for c in path]
     leaf_base = [c[0] for c in path[-1]]
@@ -244,7 +263,7 @@ def automorphism_group(graph, *, max_vertices: int = MAX_AUT_VERTICES) -> AutGro
         pos = target_pos[depth]
         for v in sorted(cells[pos]):
             split, frags = _individualize(cells, v)
-            result = extend(depth + 1, _refine_cells(adj, split, worklist=frags))
+            result = extend(depth + 1, _refine_cells(cols, split, worklist=frags))
             if result is not None:
                 return result
         return None
@@ -275,7 +294,7 @@ def automorphism_group(graph, *, max_vertices: int = MAX_AUT_VERTICES) -> AutGro
             if c in orbit:
                 continue
             split, frags = _individualize(path[level], c)
-            found = extend(level + 1, _refine_cells(adj, split, worklist=frags))
+            found = extend(level + 1, _refine_cells(cols, split, worklist=frags))
             if found is not None:
                 generators.append(found)
                 orbit = orbit_of(b, level)

@@ -15,36 +15,6 @@ from . import space, transform
 from .space import DEFAULT_MAX_POINTS, SphereClass
 
 
-class UnionFind:
-    """Disjoint sets over range(n) with path halving and union by size."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x, y):
-        x, y = self.find(x), self.find(y)
-        if x == y:
-            return
-        if self.size[x] < self.size[y]:
-            x, y = y, x
-        self.parent[y] = x
-        self.size[x] += self.size[y]
-
-    def groups(self):
-        out = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
-
 @dataclass(frozen=True)
 class OrbitDecomposition:
     """Disjoint orbits covering the index range, each sorted, ordered by
@@ -64,18 +34,43 @@ class OrbitDecomposition:
 
 
 def orbits_under(perms, size: int) -> OrbitDecomposition:
-    """Orbit partition of range(size) under the group the perms generate."""
-    uf = UnionFind(size)
+    """Orbit partition of range(size) under the group the perms generate.
+
+    Every point carries a label, at first itself.  Each sweep lowers the
+    labels of x and g[x] to their minimum for every generator g, then
+    shortcuts every label to the label of its label; when a sweep changes
+    nothing, every point is labeled by the least element of its orbit.
+    """
+    perms = list(perms)
     for perm in perms:
-        if isinstance(perm, np.ndarray):
-            perm = perm.tolist()
         if len(perm) != size:
             raise ValueError(
                 f"permutation length {len(perm)} does not match size {size}")
-        for k in range(size):
-            uf.union(k, perm[k])
-    groups = sorted(uf.groups().values(), key=lambda o: o[0])
-    return OrbitDecomposition(tuple(tuple(o) for o in groups))
+    gens = np.asarray(perms).reshape(len(perms), size)
+    if gens.size:
+        if gens.dtype.kind not in "iu":
+            raise ValueError("permutation entries must be integers")
+        if gens.min() < 0 or gens.max() >= size:
+            raise ValueError(f"permutation entries must lie in [0, {size})")
+    gens = gens.astype(np.intp, copy=False)
+    hit = np.zeros(gens.shape, dtype=bool)
+    hit[np.arange(len(perms))[:, None], gens] = True
+    if not hit.all():
+        raise ValueError("generators must be permutations of range(size)")
+    label = np.arange(size)
+    while True:
+        before = label.copy()
+        for g in gens:
+            np.minimum(label, label[g], out=label)
+            label[g] = np.minimum(label[g], label)
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    order = np.argsort(label, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), size]
+    points = order.tolist()
+    return OrbitDecomposition(tuple(tuple(points[a:b])
+                                    for a, b in zip(cuts, cuts[1:]) if b > a))
 
 
 def classify_partition(field: Field, n: int,

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intaut import Field, is_irreducible, least_irreducible, make_field
 from intaut.field import TABLE_LIMIT, poly_str
@@ -130,6 +131,27 @@ def test_scalar_ops_reject_out_of_range(p, h, op):
     for a in (-1, -2, f.q, f.q + 2):
         with pytest.raises(ValueError):
             OPS[op](f, a)
+
+
+# GF(5) and GF(9) are tabled, GF(3^6) and GF(31^2) polynomial
+RANGE_FIELDS = {(p, h): Field(p, h) for p, h in [(5, 1), (3, 2), (3, 6), (31, 2)]}
+BOTH_SIDES = {**OPS, "add-left": lambda f, a: f.add(a, 1),
+              "mul-right": lambda f, a: f.mul(1, a)}
+
+
+@st.composite
+def out_of_range_elements(draw):
+    f = RANGE_FIELDS[draw(st.sampled_from(sorted(RANGE_FIELDS)))]
+    a = draw(st.integers(max_value=-1) | st.integers(min_value=f.q))
+    return f, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(out_of_range_elements(), st.sampled_from(sorted(BOTH_SIDES)))
+def test_scalar_ops_reject_any_out_of_range_integer(case, op):
+    f, a = case
+    with pytest.raises(ValueError):
+        BOTH_SIDES[op](f, a)
 
 
 # -- field axioms, exhaustive for q <= 81 ------------------------------------

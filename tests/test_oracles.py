@@ -29,7 +29,10 @@ NONZERO = (SphereClass.ISOTROPIC, SphereClass.SQUARE, SphereClass.NONSQUARE)
 
 
 def refine_cells_oracle(adj, cells, worklist=None):
-    """Equitable refinement trying every splitter on every cell in Python."""
+    """Equitable refinement trying every splitter on every cell in Python.
+
+    A splitter S gives vertex v the count adj[:, S].sum(axis=1)[v], the
+    number of arcs from v into S, also when adj is not symmetric."""
     cells = [list(c) for c in cells]
     queue = deque([list(c) for c in (worklist if worklist is not None else cells)])
     while queue:
@@ -95,25 +98,29 @@ def relabeled(p, h, n, seed):
 @pytest.mark.parametrize("p,h,n", GRAPHS)
 def test_refinement_matches_oracle_on_integral_graphs(p, h, n, seed):
     adj = relabeled(p, h, n, seed)
+    cols = graph._columns(adj)
     unit = [list(range(adj.shape[0]))]
-    root = graph._refine_cells(adj, unit)
+    root = graph._refine_cells(cols, unit)
     assert root == refine_cells_oracle(adj, unit)
     target = root[graph._first_target_cell(root)]
     for v in target:
         split, frags = graph._individualize(root, v)
-        assert (graph._refine_cells(adj, split, worklist=frags)
+        assert (graph._refine_cells(cols, split, worklist=frags)
                 == refine_cells_oracle(adj, split, worklist=frags))
 
 
 @st.composite
-def partitioned_graphs(draw):
+def partitioned_graphs(draw, directed=False):
     """A 0-40 vertex graph, an ordered partition (empty cells allowed) and a
-    worklist: None, or a list of arbitrary vertex lists."""
+    worklist: None, or a list of arbitrary vertex lists.  The graph is
+    undirected, or with `directed` an arbitrary loopless digraph."""
     m = draw(st.integers(0, 40))
-    bits = draw(st.lists(st.booleans(), min_size=m * (m - 1) // 2,
-                         max_size=m * (m - 1) // 2))
-    adj = np.zeros((m, m), dtype=bool)
-    adj[np.triu_indices(m, 1)] = bits
+    bits = draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m))
+    adj = np.array(bits, dtype=bool).reshape(m, m)
+    np.fill_diagonal(adj, False)
+    if not directed:
+        adj = np.triu(adj, 1)
+        adj |= adj.T
     vertices = draw(st.permutations(range(m)))
     cuts = sorted(draw(st.lists(st.integers(0, m), max_size=6)))
     bounds = [0, *cuts, m]
@@ -121,14 +128,24 @@ def partitioned_graphs(draw):
     worklist = draw(st.none() | st.lists(
         st.lists(st.integers(0, max(m - 1, 0)), max_size=m, unique=True),
         max_size=6))
-    return adj | adj.T, cells, worklist
+    return adj, cells, worklist
 
 
 @settings(max_examples=300, deadline=None)
 @given(partitioned_graphs())
 def test_refinement_matches_oracle_on_random_partitions(case):
     adj, cells, worklist = case
-    assert (graph._refine_cells(adj, cells, worklist)
+    assert (graph._refine_cells(graph._columns(adj), cells, worklist)
+            == refine_cells_oracle(adj, cells, worklist))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitioned_graphs(directed=True))
+def test_refinement_counts_arcs_into_the_splitter_on_digraphs(case):
+    """A refinement that read rows of the adjacency instead of columns
+    agrees with the oracle on every symmetric input, but not here."""
+    adj, cells, worklist = case
+    assert (graph._refine_cells(graph._columns(adj), cells, worklist)
             == refine_cells_oracle(adj, cells, worklist))
 
 
@@ -136,7 +153,9 @@ def test_refinement_matches_oracle_on_random_partitions(case):
 def test_search_on_oracle_refinement_is_identical(p, h, n, monkeypatch):
     adj = relabeled(p, h, n, seed=7)
     fast = graph.automorphism_group(adj)
-    monkeypatch.setattr(graph, "_refine_cells", refine_cells_oracle)
+    monkeypatch.setattr(graph, "_refine_cells",
+                        lambda c, cells, worklist=None:
+                        refine_cells_oracle(c.T, cells, worklist))
     assert graph.automorphism_group(adj) == fast
 
 

@@ -1,11 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intaut import Field, NotAGroupError
 from intaut.orbits import (OrbitalStatus, classify_partition,
-                           close_permutation_group, m_orbits, orbital_connected,
-                           orbits_under, reflection_matrix, stabilizer_orbits)
+                           close_permutation_group, m_generators, m_orbits,
+                           orbital_connected, orbits_under, reflection_matrix,
+                           stabilizer_orbits)
 from intaut.space import SphereClass
 from intaut.transform import (SemiaffineMap, enumerate_orthogonal,
                               is_orthogonal, mat_identity, mat_mul,
@@ -16,6 +19,69 @@ M_GRID = [(3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 2, 2), (5, 1, 2), (5, 1, 3),
 
 
 # -- orbits_under --------------------------------------------------------------
+
+class UnionFind:
+    """Disjoint sets over range(n) with path halving and union by size."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x, y):
+        x, y = self.find(x), self.find(y)
+        if x == y:
+            return
+        if self.size[x] < self.size[y]:
+            x, y = y, x
+        self.parent[y] = x
+        self.size[x] += self.size[y]
+
+    def groups(self):
+        out = {}
+        for x in range(len(self.parent)):
+            out.setdefault(self.find(x), []).append(x)
+        return out
+
+
+def orbits_oracle(perms, size):
+    """Orbits by merging k with perm[k] for every generator and point."""
+    uf = UnionFind(size)
+    for perm in perms:
+        for k in range(size):
+            uf.union(k, int(perm[k]))
+    groups = sorted(uf.groups().values(), key=lambda o: o[0])
+    return tuple(tuple(o) for o in groups)
+
+
+@st.composite
+def generator_sets(draw):
+    size = draw(st.integers(0, 30))
+    perms = draw(st.lists(st.permutations(range(size)), max_size=6))
+    return perms, size
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_sets())
+def test_orbits_match_union_find(case):
+    perms, size = case
+    assert orbits_under(perms, size).orbits == orbits_oracle(perms, size)
+    arrays = [np.array(p, dtype=np.int32) for p in perms]
+    assert orbits_under(arrays, size).orbits == orbits_oracle(perms, size)
+
+
+@pytest.mark.parametrize("p,h,n", [(3, 1, 3), (5, 1, 3), (3, 2, 2), (7, 1, 2)])
+def test_m_orbits_match_union_find(p, h, n):
+    f = Field(p, h)
+    gens = m_generators(f, n)
+    assert m_orbits(f, n).orbits == orbits_oracle(gens, f.q ** n)
+
 
 def test_empty_generators_give_singletons():
     dec = orbits_under([], 5)
@@ -46,6 +112,23 @@ def test_orbits_independent_of_generator_order(f3):
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError, match="length"):
         orbits_under([(1, 0)], 3)
+
+
+@pytest.mark.parametrize("perm", [(-1, 0, 1), (1, 2, 3), (0, 1, 5)])
+def test_entries_outside_range_rejected(perm):
+    with pytest.raises(ValueError, match="lie in"):
+        orbits_under([(1, 2, 0), perm], 3)
+
+
+@pytest.mark.parametrize("perm", [(0, 0, 1), (2, 2, 2)])
+def test_non_permutations_rejected(perm):
+    with pytest.raises(ValueError, match="permutations"):
+        orbits_under([perm], 3)
+
+
+def test_non_integer_entries_rejected():
+    with pytest.raises(ValueError, match="integers"):
+        orbits_under([(1.0, 0.0)], 2)
 
 
 # -- reflections ---------------------------------------------------------------

@@ -83,6 +83,15 @@ def _as_matrix(graph) -> np.ndarray:
     return adj
 
 
+def _simple_matrix(graph) -> np.ndarray:
+    """_as_matrix of a graph the interchange writers can encode: they write
+    one triangle, so the matrix must be symmetric with an empty diagonal."""
+    adj = _as_matrix(graph)
+    if (adj != adj.T).any() or adj.diagonal().any():
+        raise ValueError("adjacency must be symmetric with an empty diagonal")
+    return adj
+
+
 # ---------------------------------------------------------------------------
 # equitable refinement on ordered partitions
 # ---------------------------------------------------------------------------
@@ -378,7 +387,7 @@ GRAPH6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1])
 
 def graph6_bytes(graph) -> bytes:
     """Standard 6-bit upper-triangle encoding with size header."""
-    adj = _as_matrix(graph)
+    adj = _simple_matrix(graph)
     num = adj.shape[0]
     if num > GRAPH6_MAX:
         raise ValueError(f"graph6 supports at most {GRAPH6_MAX} vertices")
@@ -443,51 +452,168 @@ def parse_graph6(data) -> np.ndarray:
 
 
 def dimacs_text(graph) -> str:
-    """DIMACS edge format: p-line then one 1-indexed e-line per edge, u < v."""
-    adj = _as_matrix(graph)
+    """DIMACS edge format: p-line then one 1-indexed e-line per edge, u < v,
+    in row-major order.
+
+    The e-lines are laid out in one byte buffer: a line is 'e', a space, the
+    digits of u, a space, the digits of v and a newline, so every line's
+    offset follows from the digit counts, and the digits are written one
+    decimal place at a time by divmod over all edges at once.
+    """
+    adj = _simple_matrix(graph)
     num = adj.shape[0]
-    rows, cols = np.nonzero(np.triu(adj, 1))
-    lines = [f"p edge {num} {rows.size}"]
-    lines.extend(f"e {i} {j}" for i, j in zip((rows + 1).tolist(), (cols + 1).tolist()))
-    return "\n".join(lines) + "\n"
+    head = f"p edge {num} {np.count_nonzero(adj) // 2}\n".encode()
+    uv = [x + 1 for x in np.nonzero(np.triu(adj, 1))]
+    powers = 10 ** np.arange(len(str(num)))
+    widths = [np.searchsorted(powers, x, side="right") for x in uv]
+    length = 4 + widths[0] + widths[1]
+    stop = len(head) + np.cumsum(length)
+    out = np.full(len(head) + length.sum(), ord(" "), dtype=np.uint8)
+    out[:len(head)] = np.frombuffer(head, dtype=np.uint8)
+    out[stop - length] = ord("e")
+    out[stop - 1] = ord("\n")
+    # the last digit of u sits before the space before v, that of v before "\n"
+    for x, width, last in zip(uv, widths, (stop - 3 - widths[1], stop - 2)):
+        for place, power in enumerate(powers.tolist()):
+            wide = width > place
+            out[last[wide] - place] = ord("0") + x[wide] // power % 10
+    return out.tobytes().decode("ascii")
+
+
+# byte classes of the DIMACS reader: the ASCII characters that str.split()
+# treats as whitespace, and those of them that str.splitlines() ends lines at
+_DIMACS_SPACE = np.zeros(128, dtype=bool)
+_DIMACS_SPACE[list(b" \t\n\v\f\r\x1c\x1d\x1e\x1f")] = True
+_DIMACS_BREAK = np.zeros(128, dtype=bool)
+_DIMACS_BREAK[list(b"\n\v\f\r\x1c\x1d\x1e")] = True
+# numbers with a nonzero digit at 10^18 or above exceed any vertex count
+_DIMACS_POWERS = 10 ** np.arange(18, dtype=np.int64)
+DIMACS_CHUNK = 1 << 16
 
 
 def parse_dimacs(text) -> np.ndarray:
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
-    num = None
-    adj = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ValueError(f"bad DIMACS problem line: {raw!r}")
-            if adj is not None:
-                raise ValueError(f"second DIMACS problem line: {raw!r}")
-            num, declared = int(parts[2]), int(parts[3])
-            adj = np.zeros((num, num), dtype=bool)
-        elif parts[0] == "e":
-            if adj is None:
-                raise ValueError("DIMACS edge before problem line")
-            try:
-                _, a, b = parts
-            except ValueError:
-                raise ValueError(f"bad DIMACS edge line: {raw!r}") from None
-            u, v = int(a) - 1, int(b) - 1
-            if not (0 <= u < num and 0 <= v < num):
-                raise ValueError(f"DIMACS edge out of range: {raw!r}")
-            adj[u, v] = adj[v, u] = True
-        else:
-            raise ValueError(f"unknown DIMACS line: {raw!r}")
-    if adj is None:
+    """Adjacency matrix of a graph in DIMACS edge format (str or bytes).
+
+    The input must be ASCII.  Lines end at \\n, \\r, \\v, \\f and
+    \\x1c-\\x1e; fields are separated by runs of those, spaces, tabs and
+    \\x1f.  A line is one of:
+
+    - blank, or a comment: its first field starts with ``c``;
+    - the problem line ``p edge N M``, exactly once and before every edge;
+    - an edge line ``e U V`` with 1 <= U, V <= N and U != V.
+
+    N, M, U and V are runs of ASCII digits; leading zeros are allowed.
+    Repeated and reversed edges count once, and M must equal the number of
+    distinct edges.  Anything else raises ValueError, and so does a size N
+    whose matrix cannot be allocated.
+
+    The text is read in chunks of about DIMACS_CHUNK bytes that end at a line
+    break, so the per-byte temporaries stay small.  Every edge is checked
+    before the matrix is allocated.
+    """
+    if isinstance(text, str):
+        try:
+            text = text.encode("ascii")
+        except UnicodeEncodeError:
+            raise ValueError("DIMACS input must be ASCII") from None
+    buf = np.frombuffer(text + b"\n", dtype=np.uint8)
+    if buf.max() >= 128:
+        raise ValueError("DIMACS input must be ASCII")
+    problem = None
+    edges = []
+    start = 0
+    while start < buf.size:
+        width = DIMACS_CHUNK
+        breaks = _DIMACS_BREAK[buf[start:start + width]]
+        while not breaks.any():           # a line longer than the chunk
+            width *= 2
+            breaks = _DIMACS_BREAK[buf[start:start + width]]
+        stop = start + breaks.size - int(breaks[::-1].argmax())
+        problem, uv = _dimacs_chunk(buf[start:stop], breaks[:stop - start], problem)
+        edges.append(uv)
+        start = stop
+    if problem is None:
         raise ValueError("DIMACS input has no problem line")
-    if adj.diagonal().any():
+    num, declared = problem
+    u, v = np.concatenate(edges, axis=1)
+    if (u == v).any():
         raise ValueError("DIMACS input has a self-loop")
-    edges = int(adj.sum()) // 2
-    if edges != declared:
+    try:
+        adj = np.zeros((num, num), dtype=bool)
+    except MemoryError:
+        raise ValueError(f"a DIMACS graph of {num} vertices does not fit "
+                         f"in memory") from None
+    adj[u, v] = adj[v, u] = True
+    found = np.count_nonzero(adj) // 2
+    if found != declared:
         raise ValueError(f"DIMACS problem line declares {declared} edges, "
-                         f"found {edges}")
+                         f"found {found}")
     return adj
+
+
+def _dimacs_chunk(chunk, breaks, problem):
+    """Check the lines of one chunk and return the (N, M) of the problem
+    line read so far (or None) and the chunk's edges as a 2 x k array of
+    0-based endpoints.
+
+    `breaks` marks the chunk's line breaks; the chunk ends with one.
+    """
+    space = _DIMACS_SPACE[chunk]
+    bounds = np.flatnonzero(np.diff(space, prepend=True, append=True))
+    starts, ends = bounds[0::2], bounds[1::2]
+    line = np.cumsum(breaks, dtype=np.int32)[starts]
+    heads = np.flatnonzero(np.diff(line, prepend=-1))   # first field of a line
+    fields = np.diff(heads, append=starts.size)
+    first = chunk[starts[heads]]
+    single = ends[heads] == starts[heads] + 1
+    kept = first != ord("c")
+    heads, fields, first, single = heads[kept], fields[kept], first[kept], single[kept]
+
+    def text(k):
+        a, b = heads[k], heads[k] + fields[k] - 1
+        return chunk[starts[a]:ends[b]].tobytes().decode("ascii")
+
+    is_edge = single & (first == ord("e"))
+    is_problem = single & (first == ord("p"))
+    unknown = np.flatnonzero(~is_edge & ~is_problem)
+    if unknown.size:
+        raise ValueError(f"unknown DIMACS line: {text(unknown[0])!r}")
+    for k in np.flatnonzero(is_problem).tolist():
+        if problem is not None:
+            raise ValueError(f"second DIMACS problem line: {text(k)!r}")
+        if is_edge[:k].any():
+            raise ValueError("DIMACS edge before problem line")
+        parts = text(k).split()
+        if len(parts) != 4 or parts[1] != "edge" or not all(
+                x.isdigit() for x in parts[2:]):
+            raise ValueError(f"bad DIMACS problem line: {text(k)!r}")
+        problem = int(parts[2]), int(parts[3])
+    if not is_edge.any():
+        return problem, np.zeros((2, 0), dtype=np.int64)
+    if problem is None:
+        raise ValueError("DIMACS edge before problem line")
+    bad = np.flatnonzero(is_edge & (fields != 3))
+    if bad.size:
+        raise ValueError(f"bad DIMACS edge line: {text(bad[0])!r}")
+    uv = heads[is_edge][:, None] + [1, 2]               # the U and V fields
+    uv = _dimacs_numbers(chunk, starts[uv].ravel(), ends[uv].ravel())
+    if uv.min() < 1 or uv.max() > problem[0]:
+        raise ValueError(f"DIMACS edge out of range: endpoints must lie in "
+                         f"[1, {problem[0]}]")
+    return problem, uv.reshape(-1, 2).T - 1
+
+
+def _dimacs_numbers(chunk, starts, ends):
+    """The decimal numbers in chunk[starts[i]:ends[i]], as int64, or
+    ValueError unless every field is ASCII digits below 10^18."""
+    lengths = ends - starts
+    offsets = np.cumsum(lengths) - lengths
+    pos = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+    place = np.repeat(ends - 1, lengths) - pos       # decimal place of each byte
+    digits = chunk[pos] - np.uint8(ord("0"))
+    if (digits > 9).any():
+        raise ValueError("DIMACS numbers must be runs of ASCII digits")
+    if (digits[place >= _DIMACS_POWERS.size] != 0).any():
+        raise ValueError("DIMACS number out of range")
+    np.minimum(place, _DIMACS_POWERS.size - 1, out=place)
+    return np.add.reduceat(digits * _DIMACS_POWERS[place], offsets)

@@ -118,12 +118,9 @@ def m_generators(field: Field, n: int,
     purpose: it is infeasible already for moderate n even when q^n is small.
     """
     total = space.check_size(field, n, max_points)
-    gens = []
     rho = field.primitive_element()
-    scalar_matrix = tuple(tuple(rho if i == j else 0 for j in range(n))
-                          for i in range(n))
-    gens.append(transform.map_permutation_array(
-        field, n, 1, 0, scalar_matrix, (0,) * n))
+    matrices = [tuple(tuple(rho if i == j else 0 for j in range(n))
+                      for i in range(n))]
     classes = space.class_of_point(field, n, max_points)
     seen = set()
     for k in range(1, total):
@@ -135,10 +132,8 @@ def m_generators(field: Field, n: int,
         if unit in seen:
             continue
         seen.add(unit)
-        tau = reflection_matrix(field, unit)
-        gens.append(transform.map_permutation_array(
-            field, n, 1, 0, tau, (0,) * n))
-    return gens
+        matrices.append(reflection_matrix(field, unit))
+    return list(transform.map_permutation_array(field, n, 1, 0, matrices, (0,) * n))
 
 
 def semiaffine_generators(field: Field, n: int,

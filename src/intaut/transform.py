@@ -142,22 +142,33 @@ def _encode_points(field: Field, coords: np.ndarray) -> np.ndarray:
 
 
 def map_permutation_array(field, n, scale, frob, matrix, shift) -> np.ndarray:
-    """Image index of every point under the given parameters, as one
-    vectorised gather pass over the field tables (no bijectivity check)."""
+    """Image index of every point under the given parameters, as vectorised
+    gathers over the field tables (no bijectivity check).
+
+    `matrix` is one n x n matrix, giving a length-q^n array, or a (k, n, n)
+    stack of them sharing scale, frob and shift, giving a (k, q^n) array.
+    Output coordinate j is sum_i frob(x_i) * (scale * M[i][j]) + shift[j].
+    The point index is sum_i x_i q^i, so coordinate j over all points is an
+    outer table-add over the grid: it starts from the q values of the x_{n-1}
+    term plus shift[j], and each lower coordinate's q terms are added as a
+    new least significant axis.  A map costs O(n q^n) gathers, not
+    O(n^2 q^n).
+    """
     tb = field.tables
-    pts = space.point_matrix(field, n)
-    X = tb.frob[frob][pts]
-    cols = []
-    for j in range(n):
-        acc = tb.mul[X[:, 0], matrix[0][j]]
-        for i in range(1, n):
-            acc = tb.add[acc, tb.mul[X[:, i], matrix[i][j]]]
-        if scale != 1:
-            acc = tb.mul[acc, scale]
-        if shift[j] != 0:
-            acc = tb.add[acc, shift[j]]
-        cols.append(acc)
-    return _encode_points(field, np.stack(cols, axis=1))
+    q = field.q
+    mats = np.asarray(matrix, dtype=np.intp)
+    stack = mats.reshape(-1, n, n)
+    # terms[k, i, j, x] = frob(x) * (scale * M_k[i][j])
+    terms = tb.mul[tb.frob[frob][:, None, None, None],
+                   tb.mul[scale, stack][None]].transpose(1, 2, 3, 0)
+    out = np.zeros((stack.shape[0], q ** n), dtype=np.int32)
+    for j in range(n - 1, -1, -1):
+        acc = tb.add[terms[:, n - 1, j], shift[j]]
+        for i in range(n - 2, -1, -1):
+            acc = tb.add[acc[:, :, None], terms[:, i, j, None, :]].reshape(len(acc), -1)
+        out *= q
+        out += acc
+    return out if mats.ndim == 3 else out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -314,9 +314,20 @@ def test_dimacs_rejects_garbage():
                  "p edge 3 5\ne 1 2\n",              # declared edge count
                  "p edge 3 1\ne 1\n",                # missing endpoint
                  "p edge 3 1\ne 1 2 3\n",            # extra endpoint
-                 "p edge 3 1\ne 1 2\np edge 3 0\n"]:  # second problem line
+                 "p edge 3 1\ne 1 2\np edge 3 0\n",   # second problem line
+                 "p edge 1000000000 0\n",             # cannot be allocated
+                 "p edge 1000000000 1\ne 1 2\n"]:
         with pytest.raises(ValueError):
             parse_dimacs(text)
+
+
+def test_writers_reject_asymmetric_or_looped_matrices():
+    for adj in ([[0, 1, 0], [0, 0, 0], [0, 1, 1]],     # arc 3->2 and a loop at 3
+                [[0, 1], [0, 0]],
+                [[1]]):
+        for write in (graph6_bytes, dimacs_text):
+            with pytest.raises(ValueError):
+                write(adj)
 
 
 def test_graph6_rejects_bad_input():
@@ -351,14 +362,51 @@ def test_formats_round_trip_random_graphs(adj):
 # Inputs in each format's own alphabet reach the parsers' checks far more
 # often than raw bytes do, and keep every declared size small.
 GRAPH6_LIKE = st.lists(st.integers(63, 126), max_size=12).map(bytes)
-DIMACS_LINE = st.one_of(
-    st.tuples(st.integers(-1, 4), st.integers(-1, 6)).map(
-        lambda t: f"p edge {t[0]} {t[1]}"),
-    st.lists(st.integers(-1, 5), max_size=3).map(
-        lambda xs: " ".join(["e", *map(str, xs)])),
-    st.lists(st.sampled_from(["p", "edge", "e", "c", "x", "1", "a"]),
-             max_size=5).map(" ".join))
-DIMACS_LIKE = st.lists(DIMACS_LINE, max_size=6).map(lambda ls: "\n".join(ls).encode())
+# the ASCII line ends of str.splitlines(), and runs of the rest of the ASCII
+# whitespace of str.split()
+LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t", "\x1f"])
+# an integer as int() reads it: plain, with leading zeros, a sign or an
+# underscore between digits
+DIMACS_INT = st.tuples(st.integers(-1, 6), st.sampled_from(["", "0", "00", "+", "0_"])).map(
+    lambda t: str(t[0]) if t[0] < 0 else t[1] + str(t[0]))
+DIMACS_FIELD = DIMACS_INT | st.sampled_from(["p", "edge", "e", "c", "x", "a", "1a", "0x1"])
+
+
+@st.composite
+def dimacs_like(draw):
+    """DIMACS-shaped text: a problem line and edge lines (repeated, reversed
+    and looped edges among them, the declared count usually right), blank,
+    whitespace-only, comment and junk lines anywhere, fields split by runs
+    of whitespace, lines ended by any of LINE_ENDS."""
+    num = draw(st.integers(0, 5))
+    ends = st.integers(1, max(num, 1))
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=8))
+    if draw(st.booleans()):
+        pairs = [e for e in pairs if e[0] != e[1]]
+    distinct = len({frozenset(e) for e in pairs if e[0] != e[1]})
+    declared = draw(st.just(distinct) | st.integers(-1, 6))
+    lines = [["p", "edge", num, declared], *(["e", u, v] for u, v in pairs)]
+    for _ in range(draw(st.integers(0, 4))):
+        junk = draw(st.integers(0, 3)) == 0
+        extra = draw(st.lists(DIMACS_FIELD, max_size=4) if junk else st.sampled_from(
+            [[], ["c"], ["c", "p", "edge", 1, 1], ["cx", "e"]]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    forms = draw(st.sampled_from(["0{}", "+{}", "0_{}"]).map(lambda f: f.format)
+                 | st.just(str))      # other forms int() reads, or none
+    out = []
+    for fields in lines:
+        text = [f if isinstance(f, str) else draw(st.sampled_from([str, forms]))(f)
+                for f in fields]
+        body = "".join(draw(SEPARATORS) + f for f in text)
+        out.append(draw(st.sampled_from(["", " ", "\t "])) + body[1:]
+                   + draw(st.sampled_from(LINE_ENDS)))
+    return "".join(out)
+
+
+DIMACS_LINE = st.lists(DIMACS_FIELD, max_size=5).map(" ".join)
+DIMACS_LIKE = (st.lists(DIMACS_LINE, max_size=6).map("\n".join)
+               | dimacs_like()).map(str.encode)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,10 +1,12 @@
 """Vectorised fast paths against the scalar code they replaced.
 
-Equitable refinement, the orbital-graph breadth-first search and the cone
-sets each have a numpy implementation in the library.  The scalar versions
-are kept here as oracles, and both must give the same answers: the same
-ordered cells, the same connectivity verdicts, the same cone sets, and an
-identical `AutGroupResult` when the search runs on the oracle refinement.
+Equitable refinement, the orbital-graph breadth-first search, the cone sets,
+DIMACS reading and writing and the point permutations of maps each have a
+numpy implementation in the library.  The scalar versions are kept here as
+oracles, and both must give the same answers: the same ordered cells, the
+same connectivity verdicts, the same cone sets, the same matrices and bytes,
+the same permutations, and an identical `AutGroupResult` when the search
+runs on the oracle refinement.
 """
 
 import os
@@ -18,10 +20,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import intaut
-from intaut import Field, InternalInconsistencyError, graph, orbits, space
+from intaut import Field, InternalInconsistencyError, graph, orbits, space, transform
 from intaut.orbits import OrbitalStatus
 from intaut.space import SphereClass
 from intaut.transform import _cone_index_sets
+from test_graph import DIMACS_LIKE, small_graphs
 
 # (p, h, n) of the integral graphs the refinement is compared on
 GRAPHS = [(3, 1, 3), (5, 1, 2), (3, 2, 2), (7, 1, 3)]
@@ -236,3 +239,202 @@ def test_hot_paths_do_not_import_numpy_ma():
                          text=True, env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+# -- DIMACS -----------------------------------------------------------------------
+
+def dimacs_text_oracle(graph_):
+    """DIMACS edge format: p-line then one 1-indexed e-line per edge, u < v."""
+    adj = graph._as_matrix(graph_)
+    num = adj.shape[0]
+    rows, cols = np.nonzero(np.triu(adj, 1))
+    lines = [f"p edge {num} {rows.size}"]
+    lines.extend(f"e {i} {j}" for i, j in zip((rows + 1).tolist(), (cols + 1).tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def parse_dimacs_oracle(text):
+    """Line by line with str.splitlines, str.split and int()."""
+    if isinstance(text, bytes):
+        text = text.decode("ascii")
+    num = None
+    adj = None
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if len(parts) != 4 or parts[1] != "edge":
+                raise ValueError(f"bad DIMACS problem line: {raw!r}")
+            if adj is not None:
+                raise ValueError(f"second DIMACS problem line: {raw!r}")
+            num, declared = int(parts[2]), int(parts[3])
+            adj = np.zeros((num, num), dtype=bool)
+        elif parts[0] == "e":
+            if adj is None:
+                raise ValueError("DIMACS edge before problem line")
+            try:
+                _, a, b = parts
+            except ValueError:
+                raise ValueError(f"bad DIMACS edge line: {raw!r}") from None
+            u, v = int(a) - 1, int(b) - 1
+            if not (0 <= u < num and 0 <= v < num):
+                raise ValueError(f"DIMACS edge out of range: {raw!r}")
+            adj[u, v] = adj[v, u] = True
+        else:
+            raise ValueError(f"unknown DIMACS line: {raw!r}")
+    if adj is None:
+        raise ValueError("DIMACS input has no problem line")
+    if adj.diagonal().any():
+        raise ValueError("DIMACS input has a self-loop")
+    edges = int(adj.sum()) // 2
+    if edges != declared:
+        raise ValueError(f"DIMACS problem line declares {declared} edges, "
+                         f"found {edges}")
+    return adj
+
+
+def int_beyond_digits(data):
+    """Whether a non-comment line holds a field that int() reads but that is
+    not a run of ASCII digits, such as +1, 0_1 or -0."""
+    for line in data.decode("ascii").splitlines():
+        fields = line.split()
+        if not fields or fields[0].startswith("c"):
+            continue
+        for field in fields[1:]:
+            try:
+                int(field)
+            except ValueError:
+                continue
+            if not field.isdigit():
+                return True
+    return False
+
+
+@settings(max_examples=600, deadline=None)
+@given(DIMACS_LIKE)
+def test_dimacs_parser_matches_oracle(data):
+    """Equal matrices, or ValueError from both; the parser alone may reject
+    only integers int() reads that are not plain ASCII digits."""
+    try:
+        expected = parse_dimacs_oracle(data)
+    except ValueError:
+        expected = None
+    for form in (data, data.decode("ascii")):
+        try:
+            adj = graph.parse_dimacs(form)
+        except ValueError:
+            assert expected is None or int_beyond_digits(data)
+        else:
+            assert expected is not None and np.array_equal(adj, expected)
+
+
+def test_dimacs_parser_narrowed_inputs():
+    """What the oracle reads and the parser rejects: integers in other forms
+    than ASCII digits, and non-ASCII text."""
+    for text in ["p edge +2 1\ne 1 2\n", "p edge 2 1\ne 1 0_2\n",
+                 "p edge -0 0\n", "p edge \u0662 0\n", "p edge 2 0\u2028"]:
+        parse_dimacs_oracle(text)
+        with pytest.raises(ValueError):
+            graph.parse_dimacs(text)
+
+
+def test_dimacs_parser_reads_lines_across_chunks(monkeypatch):
+    """Chunks end at line breaks, a line longer than a chunk included."""
+    adj = relabeled(3, 1, 3, seed=5)
+    text = dimacs_text_oracle(adj).replace("\ne 1 ", "\ne" + " " * 40 + "1 ", 1)
+    monkeypatch.setattr(graph, "DIMACS_CHUNK", 16)
+    assert np.array_equal(graph.parse_dimacs(text), adj)
+    assert np.array_equal(graph.parse_dimacs(text.replace("\n", "\r\n")), adj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_dimacs_writer_matches_oracle(adj):
+    assert graph.dimacs_text(adj) == dimacs_text_oracle(adj)
+
+
+@pytest.mark.parametrize("p,h,n", [(3, 1, 6), (5, 2, 2)])
+def test_dimacs_writer_matches_oracle_on_relabeled_graphs(p, h, n):
+    adj = relabeled(p, h, n, seed=11)
+    text = graph.dimacs_text(adj)
+    assert text == dimacs_text_oracle(adj)
+    assert np.array_equal(graph.parse_dimacs(text), adj)
+
+
+# -- point permutations of maps -------------------------------------------------------
+
+def map_permutation_array_oracle(field, n, scale, frob, matrix, shift):
+    """One gather per matrix entry and point, coordinate by coordinate."""
+    tb = field.tables
+    pts = space.point_matrix(field, n)
+    X = tb.frob[frob][pts]
+    cols = []
+    for j in range(n):
+        acc = tb.mul[X[:, 0], matrix[0][j]]
+        for i in range(1, n):
+            acc = tb.add[acc, tb.mul[X[:, i], matrix[i][j]]]
+        if scale != 1:
+            acc = tb.mul[acc, scale]
+        if shift[j] != 0:
+            acc = tb.add[acc, shift[j]]
+        cols.append(acc)
+    return transform._encode_points(field, np.stack(cols, axis=1))
+
+
+def m_generators_oracle(field, n):
+    """m_generators with one oracle call per map."""
+    total = space.num_points(field, n)
+    rho = field.primitive_element()
+    scalar_matrix = tuple(tuple(rho if i == j else 0 for j in range(n))
+                          for i in range(n))
+    gens = [map_permutation_array_oracle(field, n, 1, 0, scalar_matrix, (0,) * n)]
+    classes = space.class_of_point(field, n, total)
+    seen = set()
+    for k in range(1, total):
+        if classes[k] in (SphereClass.ORIGIN, SphereClass.ISOTROPIC):
+            continue
+        v = space.point_of_index(field, n, k)
+        lead = next(c for c in v if c)
+        unit = tuple(field.mul(field.inv(lead), c) for c in v)
+        if unit in seen:
+            continue
+        seen.add(unit)
+        tau = orbits.reflection_matrix(field, unit)
+        gens.append(map_permutation_array_oracle(field, n, 1, 0, tau, (0,) * n))
+    return gens
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p,h", [(3, 1), (3, 2), (5, 2), (3, 3)])
+def test_map_permutation_array_matches_oracle(p, h, n):
+    """Random parameters, singular matrices among them, one map at a time
+    and as a stack sharing scale, frob and shift."""
+    field = Field(p, h)
+    q = field.q
+    rng = np.random.default_rng(q * 10 + n)
+    for _ in range(2):
+        scale = int(rng.integers(1, q))
+        frob = int(rng.integers(0, h))
+        shift = tuple(rng.integers(0, q, n).tolist())
+        stack = rng.integers(0, q, (3, n, n))
+        stack[1, :, 0] = 0                         # singular
+        stack[2, -1] = stack[2, 0]                 # singular when n > 1
+        expected = [map_permutation_array_oracle(field, n, scale, frob, m.tolist(), shift)
+                    for m in stack]
+        for m, want in zip(stack, expected):
+            got = transform.map_permutation_array(field, n, scale, frob,
+                                                  tuple(map(tuple, m.tolist())), shift)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        got = transform.map_permutation_array(field, n, scale, frob, stack, shift)
+        assert got.shape == (3, q ** n) and np.array_equal(got, np.stack(expected))
+
+
+@pytest.mark.parametrize("p,h,n", [(3, 1, 3), (5, 1, 3), (3, 2, 2), (3, 1, 6)])
+def test_m_generators_match_oracle(p, h, n):
+    field = Field(p, h)
+    got = orbits.m_generators(field, n)
+    want = m_generators_oracle(field, n)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))

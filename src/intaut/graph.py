@@ -5,9 +5,11 @@ automorphism group of an arbitrary undirected graph by equitable-coloring
 refinement and individualization backtracking, so it serves as an unbiased
 cross-check for the group assembled from map parameters.
 
-Colorings are ordered partitions (lists of vertex lists).  Refinement splits
-cells by neighbor counts into a splitter cell and orders the fragments by
-count value.  Both choices are label-invariant: an automorphism carrying one
+Colorings are ordered partitions, held as two arrays: the vertices in cell
+order, and a boolean mask marking where each cell starts.  Refinement splits
+cells by neighbor counts into a splitter cell, orders the fragments by count
+value and enqueues every fragment but the first largest one as a new
+splitter.  These choices are label-invariant: an automorphism carrying one
 individualization sequence to another carries the refined partitions onto
 each other cell by cell, which is what makes cross-branch comparison by cell
 positions sound.
@@ -101,95 +103,99 @@ def _columns(adj: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(adj.T).view(np.uint8)
 
 
-def _refine_cells(cols: np.ndarray, cells, worklist=None):
-    """Coarsest equitable refinement of an ordered partition.
+def _refine(cols: np.ndarray, order: np.ndarray, bnd: np.ndarray, splitters):
+    """Coarsest equitable refinement of the ordered partition (order, bnd).
 
-    `cols` is `_columns(adj)`.  The neighbor counts into a splitter S are
-    adj[:, S].sum(axis=1): the row cols[v] when S = [v], a sum of rows of
-    cols otherwise.
+    `order` holds the vertices cell by cell and bnd[i] marks that a cell
+    starts at position i.  `cols` is `_columns(adj)`: the counts of arcs from
+    every vertex into a splitter S are the row cols[v] when S = [v], a sum of
+    rows of cols otherwise.  `splitters` are vertex sequences, each a union
+    of cells, processed first in, first out.
 
-    Every splitter snapshot is a former cell, hence a union of current
-    cells, so splitting by it is sound; new fragments are enqueued, which
-    guarantees every surviving cell was used as a splitter after its
-    creation.  Fragment order inside a split is by neighbor count.
+    A splitter splits exactly the cells in which two vertices adjacent in
+    `order` get different counts, so one comparison over those vertex pairs
+    tells whether it splits anything; if it does, one stable argsort on
+    (cell start, count) splits every such cell, fragments ordered by count.
+    Every fragment except the first largest of its cell is enqueued
+    (Hopcroft's rule): the counts into that one are the counts into the
+    former cell minus those into the other fragments, and the partition ends
+    equitable with respect to the former cell, which was a splitter before
+    or is still queued.  So the starting partition must already be equitable
+    with respect to every cell not in `splitters`.  Once every cell is a
+    singleton the remaining splitters are dropped.
 
-    The vertices of the cells with more than one vertex are held in one
-    cell-ordered array, rebuilt only after a real split, next to a mask of
-    the positions whose successor lies in the same cell.  A splitter splits
-    exactly the cells in which two such neighbors get different counts, so
-    one comparison over that array finds them, and only those are grouped
-    vertex by vertex.  Once every cell is a singleton the remaining
-    splitters are dropped.
+    The arguments are never written to: a split makes new arrays, so a
+    splitter may be a view of an earlier `order`.
     """
-    cells = [list(c) for c in cells]
-    queue = deque([list(c) for c in (worklist if worklist is not None else cells)])
-    if queue:
-        cells = [c for c in cells if c]   # any splitter drops empty cells
-    order = None
-    while queue and cells:
+    num = order.size
+    positions = np.arange(num)
+    queue = deque(splitters)
+    pairs = np.flatnonzero(~bnd[1:])    # positions p and p + 1 share a cell
+    left, right = order[pairs], order[pairs + 1]
+    while queue and pairs.size:
         splitter = queue.popleft()
-        if order is None:
-            big = [k for k, c in enumerate(cells) if len(c) > 1]
-            if not big:
-                break
-            order = np.fromiter((v for k in big for v in cells[k]), np.intp)
-            cell_of = np.repeat(big, [len(cells[k]) for k in big])
-            inner = cell_of[1:] == cell_of[:-1]
         if len(splitter) == 1:
             counts = cols[splitter[0]]
         else:
             counts = cols[splitter].sum(axis=0)
-        ordered = counts[order]
-        moved = (ordered[1:] != ordered[:-1]) & inner
-        if not moved.any():
+        if np.array_equal(counts[left], counts[right]):
             continue
-        new_cells = []
-        done = 0
-        for pos in sorted(set(cell_of[1:][moved].tolist())):
-            new_cells.extend(cells[done:pos])
-            done = pos + 1
-            groups = {}
-            for v in cells[pos]:
-                groups.setdefault(int(counts[v]), []).append(v)
-            for key in sorted(groups):
-                new_cells.append(groups[key])
-                queue.append(groups[key])
-        new_cells.extend(cells[done:])
-        cells = new_cells
-        order = None
-    return cells
+        ordered = counts[order].astype(np.intp)
+        start = np.maximum.accumulate(np.where(bnd, positions, 0))
+        sort = np.argsort(start * (num + 1) + ordered, kind="stable")
+        order, ordered = order[sort], ordered[sort]
+        split = bnd.copy()
+        split[1:] |= ordered[1:] != ordered[:-1]
+        was_split = np.zeros(num, dtype=bool)
+        was_split[start[split & ~bnd]] = True
+        cuts = np.flatnonzero(split)
+        ends = np.append(cuts[1:], num)
+        mine = was_split[start[cuts]]
+        fragments = list(zip(start[cuts[mine]].tolist(), cuts[mine].tolist(),
+                             ends[mine].tolist()))
+        kept = {}       # former cell -> (size, start) of its first largest fragment
+        for cell, a, b in fragments:
+            if b - a > kept.get(cell, (0,))[0]:
+                kept[cell] = b - a, a
+        queue.extend(order[a:b] for cell, a, b in fragments if kept[cell][1] != a)
+        bnd = split
+        pairs = np.flatnonzero(~bnd[1:])
+        left, right = order[pairs], order[pairs + 1]
+    return order, bnd
 
 
-def _individualize(cells, v):
-    out = []
-    fragments = None
-    for cell in cells:
-        if v in cell:
-            rest = [w for w in cell if w != v]
-            out.append([v])
-            fragments = [[v]]
-            if rest:
-                out.append(rest)
-                fragments.append(rest)
-        else:
-            out.append(cell)
-    if fragments is None:
-        raise ValueError(f"vertex {v} not present in the coloring")
-    return out, fragments
+def _individualize(cols, order, bnd, a, b, v):
+    """Refinement after v, a vertex of the cell order[a:b], is split off in
+    front of the rest of that cell.
+
+    The partition is equitable, hence equitable with respect to the cell, so
+    [v] is the only splitter needed.
+    """
+    cell = order[a:b]
+    order = np.concatenate((order[:a], [v], cell[cell != v], order[b:]))
+    bnd = bnd.copy()
+    bnd[a + 1] = True
+    return _refine(cols, order, bnd, [order[a:a + 1]])
 
 
 def refine_coloring(graph, initial=None):
     """Public equitable refinement; cells are returned ordered by their
     least vertex so the color numbering follows first-seen vertex index."""
     adj = _as_matrix(graph)
+    num = adj.shape[0]
     if initial is None:
-        initial = [list(range(adj.shape[0]))]
+        initial = [list(range(num))]
     covered = sorted(v for cell in initial for v in cell)
-    if covered != list(range(adj.shape[0])):
+    if covered != list(range(num)):
         raise ValueError("initial coloring must partition the vertex set")
-    cells = _refine_cells(_columns(adj), initial)
-    cells.sort(key=lambda c: min(c))
-    return [tuple(sorted(c)) for c in cells]
+    if num == 0:
+        return []
+    cells = [np.asarray(c, dtype=np.intp) for c in initial if len(c)]
+    bnd = np.zeros(num, dtype=bool)
+    bnd[np.cumsum([0] + [c.size for c in cells[:-1]])] = True
+    order, bnd = _refine(_columns(adj), np.concatenate(cells), bnd, cells)
+    return sorted(tuple(sorted(c.tolist()))
+                  for c in np.split(order, np.flatnonzero(bnd)[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +209,15 @@ class AutGroupResult:
     node_count: int
 
 
-def _first_target_cell(cells):
-    best_pos, best_len = -1, None
-    for pos, cell in enumerate(cells):
-        m = len(cell)
-        if m > 1 and (best_len is None or m < best_len):
-            best_pos, best_len = pos, m
-    return best_pos
-
-
-def _cell_sizes(cells):
-    return tuple(len(c) for c in cells)
+def _target_cell(bnd):
+    """(start, end) of the first smallest cell of more than one vertex, or
+    None when every cell is a singleton."""
+    starts = np.flatnonzero(bnd)
+    sizes = np.diff(starts, append=bnd.size)
+    k = int(np.where(sizes > 1, sizes, bnd.size + 1).argmin())
+    if sizes[k] == 1:
+        return None
+    return int(starts[k]), int(starts[k] + sizes[k])
 
 
 def automorphism_group(graph, *, max_vertices: int = MAX_AUT_VERTICES) -> AutGroupResult:
@@ -226,6 +230,10 @@ def automorphism_group(graph, *, max_vertices: int = MAX_AUT_VERTICES) -> AutGro
     every found generator being checked edge by edge before use.  The group
     order is the product of the orbit lengths, and any automorphism fixing
     the whole base is the identity because the final coloring is discrete.
+
+    A branch whose cell sizes differ from the path's at the same depth is
+    rejected by comparing cell-start masks; at a leaf the candidate maps
+    the path's leaf order onto the branch's, position by position.
     """
     adj = _as_matrix(graph)
     num = adj.shape[0]
@@ -237,42 +245,36 @@ def automorphism_group(graph, *, max_vertices: int = MAX_AUT_VERTICES) -> AutGro
     node_count = 0
     cols = _columns(adj)
 
-    root = _refine_cells(cols, [list(range(num))])
-    path = [root]
+    whole = np.arange(num)
+    order, bnd = _refine(cols, whole, whole == 0, [whole])    # from one cell
+    path = [(order, bnd)]
     base = []
-    target_pos = []
-    cur = root
-    while True:
-        pos = _first_target_cell(cur)
-        if pos < 0:
-            break
-        v = min(cur[pos])
+    targets = []
+    while (cell := _target_cell(bnd)) is not None:
+        a, b = cell
+        v = int(order[a:b].min())
         base.append(v)
-        target_pos.append(pos)
-        split, frags = _individualize(cur, v)
-        cur = _refine_cells(cols, split, worklist=frags)
-        path.append(cur)
-    path_sizes = [_cell_sizes(c) for c in path]
-    leaf_base = [c[0] for c in path[-1]]
+        targets.append(cell)
+        order, bnd = _individualize(cols, order, bnd, a, b, v)
+        path.append((order, bnd))
+    leaf_order = order
 
     def verify(perm: np.ndarray) -> bool:
-        return bool(np.array_equal(adj[perm][:, perm], adj))
+        return bool(np.array_equal(np.take(adj[perm], perm, axis=1), adj))
 
-    def extend(depth, cells):
+    def extend(depth, order, bnd):
         """Search for one automorphism extending the current branch."""
         nonlocal node_count
         node_count += 1
-        if _cell_sizes(cells) != path_sizes[depth]:
+        if not np.array_equal(bnd, path[depth][1]):
             return None
         if depth == len(base):
             perm = np.empty(num, dtype=np.int64)
-            for k, cell in enumerate(cells):
-                perm[leaf_base[k]] = cell[0]
+            perm[leaf_order] = order
             return perm if verify(perm) else None
-        pos = target_pos[depth]
-        for v in sorted(cells[pos]):
-            split, frags = _individualize(cells, v)
-            result = extend(depth + 1, _refine_cells(cols, split, worklist=frags))
+        a, b = targets[depth]
+        for v in np.sort(order[a:b]).tolist():
+            result = extend(depth + 1, *_individualize(cols, order, bnd, a, b, v))
             if result is not None:
                 return result
         return None
@@ -294,27 +296,26 @@ def automorphism_group(graph, *, max_vertices: int = MAX_AUT_VERTICES) -> AutGro
                     stack.append(y)
         return seen
 
-    order = 1
+    group_order = 1
     for level in range(len(base) - 1, -1, -1):
-        cell = path[level][target_pos[level]]
         b = base[level]
         orbit = orbit_of(b, level)
-        for c in sorted(cell):
+        start, end = targets[level]
+        for c in np.sort(path[level][0][start:end]).tolist():
             if c in orbit:
                 continue
-            split, frags = _individualize(path[level], c)
-            found = extend(level + 1, _refine_cells(cols, split, worklist=frags))
+            found = extend(level + 1, *_individualize(cols, *path[level], start, end, c))
             if found is not None:
                 generators.append(found)
                 orbit = orbit_of(b, level)
-        order *= len(orbit)
+        group_order *= len(orbit)
 
     for g in generators:
         if not verify(g):
             raise InternalInconsistencyError(
                 "search produced a non-automorphism generator")
     gens = tuple(tuple(g.tolist()) for g in generators)
-    return AutGroupResult(order, gens, node_count)
+    return AutGroupResult(group_order, gens, node_count)
 
 
 # ---------------------------------------------------------------------------

@@ -116,23 +116,30 @@ def m_generators(field: Field, n: int,
     anisotropic v (one representative per projective class); the scalar part
     by a single primitive scalar map.  Full matrix enumeration is avoided on
     purpose: it is infeasible already for moderate n even when q^n is small.
+
+    A class is represented by its point with leading coordinate 1, and the
+    classes come in the order of their least point index.  All reflection
+    matrices I - (2 / <v,v>) v v^T are formed at once and mapped to
+    permutations in one batch.
     """
     total = space.check_size(field, n, max_points)
-    rho = field.primitive_element()
-    matrices = [tuple(tuple(rho if i == j else 0 for j in range(n))
-                      for i in range(n))]
-    classes = space.class_of_point(field, n, max_points)
-    seen = set()
-    for k in range(1, total):
-        if classes[k] in (SphereClass.ORIGIN, SphereClass.ISOTROPIC):
-            continue
-        v = space.point_of_index(field, n, k)
-        lead = next(c for c in v if c)
-        unit = tuple(field.mul(field.inv(lead), c) for c in v)
-        if unit in seen:
-            continue
-        seen.add(unit)
-        matrices.append(reflection_matrix(field, unit))
+    tb = field.tables
+    points = space.point_matrix(field, n)
+    norms = space._norm_array(field, n)
+    ks = np.flatnonzero(norms)                       # the anisotropic points
+    pts = points[ks]
+    lead = pts[np.arange(ks.size), (pts != 0).argmax(axis=1)]
+    unit = tb.mul[tb.inv[lead][:, None], pts] @ field.q ** np.arange(n)
+    first = np.full(total, total)
+    np.minimum.at(first, unit, ks)                   # least point of each class
+    reps = np.flatnonzero(first < total)
+    reps = reps[np.argsort(first[reps])]
+    v = points[reps]
+    coef = tb.mul[tb.mul[tb.add[1, 1], tb.inv[norms[reps]]][:, None], v]
+    eye = np.eye(n, dtype=np.intp)
+    reflections = tb.add[tb.neg[tb.mul[coef[:, :, None], v[:, None, :]]], eye]
+    scalar = eye * field.primitive_element()
+    matrices = np.concatenate((scalar[None], reflections))
     return list(transform.map_permutation_array(field, n, 1, 0, matrices, (0,) * n))
 
 

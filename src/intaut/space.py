@@ -216,17 +216,25 @@ def distance_matrix(field: Field, n: int,
 
 @functools.lru_cache(maxsize=None)
 def _distance_matrix(field: Field, n: int) -> np.ndarray:
+    """Entry (u, v) is the norm of x_u - x_v, read off _norm_array.
+
+    The index of x_u - x_v is sum_j (u_j - v_j) q^j.  With the point indices
+    reshaped to n digit axes each (coordinate j on axis n-1-j), the term of
+    coordinate j is the q x q subtraction table times q^j, broadcast over
+    the axis pair of digit j of u and of v.
+    """
     tb = field.tables
-    pts = point_matrix(field, n)
-    neg = tb.neg
-    acc = None
+    q = field.q
+    total = q ** n
+    sub = tb.add[:, tb.neg]                        # sub[a, b] = a - b
+    diff = np.zeros((q,) * (2 * n), dtype=np.int32)
     for j in range(n):
-        col = pts[:, j]
-        diff = tb.add[col[:, None], neg[col][None, :]]
-        term = tb.square_of[diff]
-        acc = term if acc is None else tb.add[acc, term]
-    acc.setflags(write=False)
-    return acc
+        shape = [1] * (2 * n)
+        shape[n - 1 - j] = shape[2 * n - 1 - j] = q
+        diff += (sub * q ** j).reshape(shape)
+    out = _norm_array(field, n)[diff.reshape(total, total)]
+    out.setflags(write=False)
+    return out
 
 
 def integral_matrix(field: Field, n: int,

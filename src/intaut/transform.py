@@ -153,11 +153,21 @@ def map_permutation_array(field, n, scale, frob, matrix, shift) -> np.ndarray:
     term plus shift[j], and each lower coordinate's q terms are added as a
     new least significant axis.  A map costs O(n q^n) gathers, not
     O(n^2 q^n).
+
+    Scale, matrix and shift entries must lie in [0, q) and frob in [0, h),
+    or ValueError is raised.
     """
     tb = field.tables
     q = field.q
     mats = np.asarray(matrix, dtype=np.intp)
     stack = mats.reshape(-1, n, n)
+    if len(shift) != n:
+        raise ValueError(f"shift has {len(shift)} entries, expected {n}")
+    entries = np.concatenate((stack.ravel(), np.asarray(shift, dtype=np.intp), [scale]))
+    if entries.min() < 0 or entries.max() >= q:
+        raise ValueError(f"scale, matrix and shift entries must lie in [0, {q})")
+    if not 0 <= frob < field.h:
+        raise ValueError(f"frob must lie in [0, {field.h})")
     # terms[k, i, j, x] = frob(x) * (scale * M_k[i][j])
     terms = tb.mul[tb.frob[frob][:, None, None, None],
                    tb.mul[scale, stack][None]].transpose(1, 2, 3, 0)

@@ -1,12 +1,15 @@
 """Vectorised fast paths against the scalar code they replaced.
 
 Equitable refinement, the orbital-graph breadth-first search, the cone sets,
-DIMACS reading and writing and the point permutations of maps each have a
-numpy implementation in the library.  The scalar versions are kept here as
-oracles, and both must give the same answers: the same ordered cells, the
-same connectivity verdicts, the same cone sets, the same matrices and bytes,
-the same permutations, and an identical `AutGroupResult` when the search
-runs on the oracle refinement.
+DIMACS reading and writing, the distance matrix, the reflection generators
+and the point permutations of maps each have a numpy implementation in the
+library.  The scalar versions are kept here as oracles, and both must give
+the same answers: the same ordered cells, the same connectivity verdicts,
+the same cone sets, the same matrices and bytes, the same permutations, and
+an identical `AutGroupResult` when the search runs on the oracle refinement.
+The refinement before the "all but the largest" fragment rule stays as a
+second oracle, which must give the same set partition where both are the
+coarsest equitable refinement.
 """
 
 import os
@@ -21,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import intaut
 from intaut import Field, InternalInconsistencyError, graph, orbits, space, transform
+from intaut.field import is_irreducible
 from intaut.orbits import OrbitalStatus
 from intaut.space import SphereClass
 from intaut.transform import _cone_index_sets
@@ -32,7 +36,8 @@ NONZERO = (SphereClass.ISOTROPIC, SphereClass.SQUARE, SphereClass.NONSQUARE)
 
 
 def refine_cells_oracle(adj, cells, worklist=None):
-    """Equitable refinement trying every splitter on every cell in Python.
+    """Equitable refinement trying every splitter on every cell in Python,
+    every fragment of a split enqueued.
 
     A splitter S gives vertex v the count adj[:, S].sum(axis=1)[v], the
     number of arcs from v into S, also when adj is not symmetric."""
@@ -57,6 +62,55 @@ def refine_cells_oracle(adj, cells, worklist=None):
                 queue.append(groups[key])
         cells = new_cells
     return cells
+
+
+def refine_hopcroft_oracle(adj, cells, worklist=None):
+    """refine_cells_oracle with the library's fragment rule: every fragment
+    of a split cell is enqueued except the first of the largest ones, and
+    empty cells are dropped."""
+    cells = [list(c) for c in cells if len(c)]
+    queue = deque([list(c) for c in (worklist if worklist is not None else cells)])
+    while queue:
+        splitter = queue.popleft()
+        counts = adj[:, splitter].sum(axis=1)
+        new_cells = []
+        for cell in cells:
+            groups = {}
+            for v in cell:
+                groups.setdefault(int(counts[v]), []).append(v)
+            fragments = [groups[key] for key in sorted(groups)]
+            new_cells.extend(fragments)
+            if len(fragments) > 1:
+                largest = max(fragments, key=len)      # the first of the largest
+                queue.extend(f for f in fragments if f is not largest)
+        cells = new_cells
+    return cells
+
+
+def as_arrays(cells, num):
+    """(order, bnd) of an ordered partition of range(num) without empty cells."""
+    order = np.array([v for cell in cells for v in cell], dtype=np.intp)
+    bnd = np.zeros(num, dtype=bool)
+    if cells:
+        bnd[np.cumsum([0] + [len(c) for c in cells[:-1]])] = True
+    return order, bnd
+
+
+def as_cells(order, bnd):
+    return [c.tolist() for c in np.split(order, np.flatnonzero(bnd)[1:]) if c.size]
+
+
+def refine(adj, cells, worklist=None):
+    """graph._refine on vertex lists; worklist None means every cell."""
+    cells = [c for c in cells if len(c)]
+    splitters = cells if worklist is None else worklist
+    order, bnd = as_arrays(cells, adj.shape[0])
+    return as_cells(*graph._refine(graph._columns(adj), order, bnd,
+                                   [np.asarray(s, dtype=np.intp) for s in splitters]))
+
+
+def set_partition(cells):
+    return {frozenset(c) for c in cells if c}
 
 
 def orbital_connected_oracle(field, n, sphere_class):
@@ -97,19 +151,39 @@ def relabeled(p, h, n, seed):
 
 # -- equitable refinement -------------------------------------------------------
 
+def individualized(cells, v):
+    """The ordered partition with v split off in front of its cell."""
+    out = []
+    for cell in cells:
+        if v in cell:
+            out.append([v])
+            cell = [w for w in cell if w != v]
+        out.append(cell)
+    return [c for c in out if c]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("p,h,n", GRAPHS)
 def test_refinement_matches_oracle_on_integral_graphs(p, h, n, seed):
+    """The root refinement and every individualization of its target cell:
+    equal ordered cells with the fragment-rule oracle and equal set
+    partitions with the all-fragments oracle."""
     adj = relabeled(p, h, n, seed)
+    num = adj.shape[0]
     cols = graph._columns(adj)
-    unit = [list(range(adj.shape[0]))]
-    root = graph._refine_cells(cols, unit)
-    assert root == refine_cells_oracle(adj, unit)
-    target = root[graph._first_target_cell(root)]
-    for v in target:
-        split, frags = graph._individualize(root, v)
-        assert (graph._refine_cells(cols, split, worklist=frags)
-                == refine_cells_oracle(adj, split, worklist=frags))
+    unit = [list(range(num))]
+    root = refine(adj, unit)
+    assert root == refine_hopcroft_oracle(adj, unit)
+    assert set_partition(root) == set_partition(refine_cells_oracle(adj, unit))
+    order, bnd = as_arrays(root, num)
+    a, b = graph._target_cell(bnd)
+    assert order[a:b].tolist() == min((c for c in root if len(c) > 1), key=len)
+    for v in order[a:b].tolist():
+        split = individualized(root, v)
+        got = as_cells(*graph._individualize(cols, order, bnd, a, b, v))
+        assert got == refine_hopcroft_oracle(adj, split, worklist=[[v]])
+        everything = refine_cells_oracle(adj, split, worklist=split)
+        assert set_partition(got) == set_partition(everything)
 
 
 @st.composite
@@ -134,32 +208,75 @@ def partitioned_graphs(draw, directed=False):
     return adj, cells, worklist
 
 
+def check_against_oracles(adj, cells, worklist):
+    """Equal ordered cells with the fragment-rule oracle for any worklist;
+    with every cell a splitter both rules reach the coarsest equitable
+    refinement, so the set partition equals the all-fragments oracle's."""
+    got = refine(adj, cells, worklist)
+    assert got == refine_hopcroft_oracle(adj, cells, worklist)
+    if worklist is None:
+        assert set_partition(got) == set_partition(refine_cells_oracle(adj, cells))
+
+
 @settings(max_examples=300, deadline=None)
 @given(partitioned_graphs())
 def test_refinement_matches_oracle_on_random_partitions(case):
-    adj, cells, worklist = case
-    assert (graph._refine_cells(graph._columns(adj), cells, worklist)
-            == refine_cells_oracle(adj, cells, worklist))
+    check_against_oracles(*case)
 
 
 @settings(max_examples=300, deadline=None)
 @given(partitioned_graphs(directed=True))
 def test_refinement_counts_arcs_into_the_splitter_on_digraphs(case):
     """A refinement that read rows of the adjacency instead of columns
-    agrees with the oracle on every symmetric input, but not here."""
-    adj, cells, worklist = case
-    assert (graph._refine_cells(graph._columns(adj), cells, worklist)
-            == refine_cells_oracle(adj, cells, worklist))
+    agrees with the oracles on every symmetric input, but not here."""
+    check_against_oracles(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(partitioned_graphs(directed=True), st.randoms(use_true_random=False))
+def test_refinement_is_label_invariant(case, rnd):
+    """Refining sigma(G) from sigma(cells) gives sigma applied cell by cell."""
+    adj, cells, _ = case
+    num = adj.shape[0]
+    sigma = np.array(rnd.sample(range(num), num), dtype=np.intp)
+    inv = np.argsort(sigma)
+    moved = [sigma[c].tolist() for c in cells]
+    got = refine(adj[inv][:, inv], moved)
+    assert [sorted(c) for c in got] == [sorted(sigma[c].tolist())
+                                        for c in refine(adj, cells)]
+
+
+@pytest.mark.parametrize("p,h,n", GRAPHS)
+def test_individualization_is_label_invariant(p, h, n):
+    adj = relabeled(p, h, n, seed=3)
+    num = adj.shape[0]
+    sigma = np.random.default_rng(4).permutation(num)
+    inv = np.argsort(sigma)
+    root = refine(adj, [list(range(num))])
+    other = refine(adj[inv][:, inv], [list(range(num))])
+    assert [sorted(c) for c in other] == [sorted(sigma[c].tolist()) for c in root]
+    v = min((c for c in root if len(c) > 1), key=len)[0]
+    got = refine(adj, individualized(root, v), [[v]])
+    moved = refine(adj[inv][:, inv], individualized(other, int(sigma[v])),
+                   [[int(sigma[v])]])
+    assert [sorted(c) for c in moved] == [sorted(sigma[c].tolist()) for c in got]
 
 
 @pytest.mark.parametrize("p,h,n", GRAPHS)
 def test_search_on_oracle_refinement_is_identical(p, h, n, monkeypatch):
     adj = relabeled(p, h, n, seed=7)
     fast = graph.automorphism_group(adj)
-    monkeypatch.setattr(graph, "_refine_cells",
-                        lambda c, cells, worklist=None:
-                        refine_cells_oracle(c.T, cells, worklist))
+    calls = []
+
+    def oracle_refine(cols, order, bnd, splitters):
+        calls.append(len(splitters))
+        cells = refine_hopcroft_oracle(cols.T, as_cells(order, bnd),
+                                       [list(s) for s in splitters])
+        return as_arrays(cells, order.size)
+
+    monkeypatch.setattr(graph, "_refine", oracle_refine)
     assert graph.automorphism_group(adj) == fast
+    assert len(calls) > fast.node_count      # the root and every search node
 
 
 # -- orbital connectivity -------------------------------------------------------
@@ -363,6 +480,41 @@ def test_dimacs_writer_matches_oracle_on_relabeled_graphs(p, h, n):
     assert np.array_equal(graph.parse_dimacs(text), adj)
 
 
+# -- distance matrix ---------------------------------------------------------------
+
+def distance_matrix_oracle(field, n):
+    """One q^n x q^n table gather per coordinate: the sum over j of the
+    squares of x_u[j] - x_v[j]."""
+    tb = field.tables
+    pts = space.point_matrix(field, n)
+    acc = None
+    for j in range(n):
+        col = pts[:, j]
+        term = tb.square_of[tb.add[col[:, None], tb.neg[col][None, :]]]
+        acc = term if acc is None else tb.add[acc, term]
+    return acc
+
+
+def seeded_field(p, h, seed):
+    """GF(p^h) under a monic irreducible modulus drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    while True:
+        modulus = [*rng.integers(0, p, h).tolist(), 1]
+        if is_irreducible(modulus, p):
+            return Field(p, h, modulus)
+
+
+@pytest.mark.parametrize("p,h,n", [(3, 1, 1), (5, 1, 3), (7, 1, 3), (3, 1, 6),
+                                   (3, 2, 3), (5, 2, 2), (3, 3, 2), (3, 3, 1)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_distance_matrix_matches_oracle(p, h, n, seed):
+    field = seeded_field(p, h, seed)
+    got = space._distance_matrix(field, n)
+    want = distance_matrix_oracle(field, n)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert not got.flags.writeable
+
+
 # -- point permutations of maps -------------------------------------------------------
 
 def map_permutation_array_oracle(field, n, scale, frob, matrix, shift):
@@ -384,7 +536,8 @@ def map_permutation_array_oracle(field, n, scale, frob, matrix, shift):
 
 
 def m_generators_oracle(field, n):
-    """m_generators with one oracle call per map."""
+    """m_generators as a loop over the points with scalar field arithmetic:
+    one reflection_matrix and one oracle call per class."""
     total = space.num_points(field, n)
     rho = field.primitive_element()
     scalar_matrix = tuple(tuple(rho if i == j else 0 for j in range(n))

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from intaut import Field, NotABijectionError
@@ -7,7 +8,7 @@ from intaut.space import canonical_index, point_of_index
 from intaut.transform import (SemiaffineMap, apply_map, compose_perms,
                               enumerate_orthogonal, identity_map,
                               identity_perm, invert_perm, is_orthogonal,
-                              mat_identity, normalize_map,
+                              map_permutation_array, mat_identity, normalize_map,
                               orthogonal_bruteforce, preserves_cones,
                               preserves_integral, read_permutation_file,
                               recognize_semiaffine, satisfies_zero_iff,
@@ -163,6 +164,30 @@ def test_to_permutation_matches_pointwise_definition(f9):
 
 
 # -- normalization -------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [
+    SemiaffineMap(1, 0, ((-1,),), (0,)),      # would wrap round to 2
+    SemiaffineMap(1, 0, ((3,),), (0,)),
+    SemiaffineMap(1, 0, ((1,),), (5,)),
+    SemiaffineMap(1, 0, ((1,),), (-1,)),
+    SemiaffineMap(3, 0, ((1,),), (0,)),
+    SemiaffineMap(-2, 0, ((1,),), (0,)),
+    SemiaffineMap(1, 1, ((1,),), (0,)),       # GF(3) has only frob 0
+    SemiaffineMap(1, 0, ((1,),), (0, 0)),
+])
+def test_to_permutation_rejects_parameters_out_of_range(f3, m):
+    with pytest.raises(ValueError):
+        to_permutation(f3, 1, m)
+
+
+def test_map_permutation_array_rejects_a_bad_matrix_in_a_stack(f9):
+    stack = np.zeros((3, 2, 2), dtype=int)
+    stack[:, 0, 0] = stack[:, 1, 1] = 1
+    map_permutation_array(f9, 2, 1, 1, stack, (0, 0))
+    stack[2, 1, 0] = 9
+    with pytest.raises(ValueError):
+        map_permutation_array(f9, 2, 1, 1, stack, (0, 0))
+
 
 def test_normalization_picks_smaller_scale(f3):
     A = mat_identity(3)

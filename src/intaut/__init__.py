@@ -12,7 +12,7 @@ from .field import Field, make_field, is_irreducible, least_irreducible, poly_st
 from .space import (SphereClass, SphereCounts, DEFAULT_MAX_POINTS,
                     canonical_index, point_of_index, enumerate_points,
                     distance, norm, is_integral, classify,
-                    sphere_counts_enumerated, sphere_counts_formula, cone)
+                    sphere_counts_enumerated, sphere_counts_formula)
 from .transform import (SemiaffineMap, identity_map, normalize_map, apply_map,
                         to_permutation, enumerate_orthogonal,
                         orthogonal_bruteforce, is_orthogonal, semiaffine_group,
@@ -23,7 +23,7 @@ from .transform import (SemiaffineMap, identity_map, normalize_map, apply_map,
 from .orbits import (OrbitDecomposition, OrbitalStatus, orbits_under,
                      classify_partition, m_orbits, stabilizer_orbits,
                      orbital_connected, orbital_neighbors,
-                     close_permutation_group, reflection_matrix)
+                     close_permutation_group)
 from .graph import (IntegralGraph, AutGroupResult, ClassificationReport,
                     Verdict, build_integral_graph, complement_graph, flip_edge,
                     refine_coloring, automorphism_group, verify_classification,

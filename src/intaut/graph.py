@@ -382,8 +382,6 @@ def verify_classification(field: Field, n: int, *,
 # ---------------------------------------------------------------------------
 
 GRAPH6_MAX = 68719476735
-GRAPH6_SHIFTS = np.arange(5, -1, -1, dtype=np.uint8)
-GRAPH6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1])
 
 
 def graph6_bytes(graph) -> bytes:
@@ -398,10 +396,10 @@ def graph6_bytes(graph) -> bytes:
         header = bytes([126]) + _graph6_chunks(num, 3)
     else:
         header = bytes([126, 126]) + _graph6_chunks(num, 6)
-    bits = adj.T[np.tril_indices(num, -1)]       # adj[i, j] for i < j, by j
+    bits = adj.T[np.tri(num, num, -1, dtype=bool)]   # adj[i, j] for i < j, by j
     bits = np.concatenate([bits, np.zeros(-bits.size % 6, dtype=bool)])
-    body = bits.reshape(-1, 6) @ GRAPH6_WEIGHTS + 63
-    return header + body.astype(np.uint8).tobytes() + b"\n"
+    body = np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2
+    return header + (body + np.uint8(63)).tobytes() + b"\n"
 
 
 def _graph6_chunks(value: int, count: int) -> bytes:
@@ -444,11 +442,11 @@ def parse_graph6(data) -> np.ndarray:
     if len(codes) - pos != payload:
         raise ValueError(f"graph6 payload of {num} vertices must be {payload} "
                          f"bytes, got {len(codes) - pos}")
-    bits = ((codes[pos:, None] >> GRAPH6_SHIFTS) & 1).astype(bool).ravel()
+    bits = np.unpackbits(codes[pos:, None], axis=1)[:, 2:].ravel()
     if bits[needed:].any():
         raise ValueError("graph6 padding bits must be zero")
     adj = np.zeros((num, num), dtype=bool)
-    adj.T[np.tril_indices(num, -1)] = bits[:needed]
+    adj.T[np.tri(num, num, -1, dtype=bool)] = bits[:needed]
     return adj | adj.T
 
 
@@ -456,40 +454,37 @@ def dimacs_text(graph) -> str:
     """DIMACS edge format: p-line then one 1-indexed e-line per edge, u < v,
     in row-major order.
 
-    The e-lines are laid out in one byte buffer: a line is 'e', a space, the
-    digits of u, a space, the digits of v and a newline, so every line's
-    offset follows from the digit counts, and the digits are written one
-    decimal place at a time by divmod over all edges at once.
+    Every e-line is laid out at one fixed width: 'e', a space, U, a space, V
+    and a newline, each label right-aligned in as many bytes as N has digits
+    and padded with zero bytes.  The padded labels 1..N form a table whose
+    rows are gathered as one fixed-size item per endpoint, and dropping the
+    zero bytes from the laid-out lines leaves the text.
     """
     adj = _simple_matrix(graph)
     num = adj.shape[0]
-    head = f"p edge {num} {np.count_nonzero(adj) // 2}\n".encode()
-    uv = [x + 1 for x in np.nonzero(np.triu(adj, 1))]
-    powers = 10 ** np.arange(len(str(num)))
-    widths = [np.searchsorted(powers, x, side="right") for x in uv]
-    length = 4 + widths[0] + widths[1]
-    stop = len(head) + np.cumsum(length)
-    out = np.full(len(head) + length.sum(), ord(" "), dtype=np.uint8)
-    out[:len(head)] = np.frombuffer(head, dtype=np.uint8)
-    out[stop - length] = ord("e")
-    out[stop - 1] = ord("\n")
-    # the last digit of u sits before the space before v, that of v before "\n"
-    for x, width, last in zip(uv, widths, (stop - 3 - widths[1], stop - 2)):
-        for place, power in enumerate(powers.tolist()):
-            wide = width > place
-            out[last[wide] - place] = ord("0") + x[wide] // power % 10
-    return out.tobytes().decode("ascii")
+    u, v = np.divmod(np.flatnonzero(np.triu(adj, 1)), num)
+    width = len(str(num))
+    labels = np.arange(1, num + 1)[:, None]
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    table = np.where(labels >= powers, labels // powers % 10 + ord("0"), 0)
+    table = table.astype(np.uint8).view(f"V{width}").ravel()
+    lines = np.empty((u.size, 2 * width + 4), dtype=np.uint8)
+    lines[:, 0] = ord("e")
+    lines[:, 1] = lines[:, width + 2] = ord(" ")
+    lines[:, -1] = ord("\n")
+    lines[:, 2:width + 2] = table[u].view(np.uint8).reshape(-1, width)
+    lines[:, width + 3:-1] = table[v].view(np.uint8).reshape(-1, width)
+    return f"p edge {num} {u.size}\n" + lines[lines != 0].tobytes().decode("ascii")
 
 
-# byte classes of the DIMACS reader: the ASCII characters that str.split()
-# treats as whitespace, and those of them that str.splitlines() ends lines at
-_DIMACS_SPACE = np.zeros(128, dtype=bool)
-_DIMACS_SPACE[list(b" \t\n\v\f\r\x1c\x1d\x1e\x1f")] = True
-_DIMACS_BREAK = np.zeros(128, dtype=bool)
-_DIMACS_BREAK[list(b"\n\v\f\r\x1c\x1d\x1e")] = True
 # numbers with a nonzero digit at 10^18 or above exceed any vertex count
-_DIMACS_POWERS = 10 ** np.arange(18, dtype=np.int64)
+_DIMACS_PLACES = 18
 DIMACS_CHUNK = 1 << 16
+
+
+def _dimacs_breaks(chunk):
+    """Where str.splitlines() ends a line: \\n, \\v, \\f, \\r and \\x1c-\\x1e."""
+    return ((chunk - np.uint8(10)) <= 3) | ((chunk - np.uint8(28)) <= 2)
 
 
 def parse_dimacs(text) -> np.ndarray:
@@ -509,8 +504,9 @@ def parse_dimacs(text) -> np.ndarray:
     whose matrix cannot be allocated.
 
     The text is read in chunks of about DIMACS_CHUNK bytes that end at a line
-    break, so the per-byte temporaries stay small.  Every edge is checked
-    before the matrix is allocated.
+    break, so the per-byte temporaries stay small: bytes are classified by
+    comparisons, and numbers are read a decimal place at a time over all
+    fields of a chunk.  Every edge is checked before the matrix is allocated.
     """
     if isinstance(text, str):
         try:
@@ -525,10 +521,10 @@ def parse_dimacs(text) -> np.ndarray:
     start = 0
     while start < buf.size:
         width = DIMACS_CHUNK
-        breaks = _DIMACS_BREAK[buf[start:start + width]]
+        breaks = _dimacs_breaks(buf[start:start + width])
         while not breaks.any():           # a line longer than the chunk
             width *= 2
-            breaks = _DIMACS_BREAK[buf[start:start + width]]
+            breaks = _dimacs_breaks(buf[start:start + width])
         stop = start + breaks.size - int(breaks[::-1].argmax())
         problem, uv = _dimacs_chunk(buf[start:stop], breaks[:stop - start], problem)
         edges.append(uv)
@@ -559,11 +555,20 @@ def _dimacs_chunk(chunk, breaks, problem):
 
     `breaks` marks the chunk's line breaks; the chunk ends with one.
     """
-    space = _DIMACS_SPACE[chunk]
+    space = breaks | (chunk == 9) | ((chunk - np.uint8(31)) <= 1)   # tab, 0x1f, ' '
     bounds = np.flatnonzero(np.diff(space, prepend=True, append=True))
     starts, ends = bounds[0::2], bounds[1::2]
-    line = np.cumsum(breaks, dtype=np.int32)[starts]
-    heads = np.flatnonzero(np.diff(line, prepend=-1))   # first field of a line
+    # a field heads its line when it is the chunk's first or a break lies in
+    # the gap before it: the byte before it when the gap is one byte wide,
+    # else the breaks counted on either side of the gap
+    heads = breaks[starts - 1]
+    heads[:1] = True
+    wide = np.flatnonzero(starts[1:] - ends[:-1] > 1) + 1
+    if wide.size:
+        line_ends = np.flatnonzero(breaks)
+        heads[wide] = (np.searchsorted(line_ends, starts[wide])
+                       > np.searchsorted(line_ends, ends[wide - 1]))
+    heads = np.flatnonzero(heads)
     fields = np.diff(heads, append=starts.size)
     first = chunk[starts[heads]]
     single = ends[heads] == starts[heads] + 1
@@ -606,15 +611,28 @@ def _dimacs_chunk(chunk, breaks, problem):
 
 def _dimacs_numbers(chunk, starts, ends):
     """The decimal numbers in chunk[starts[i]:ends[i]], as int64, or
-    ValueError unless every field is ASCII digits below 10^18."""
+    ValueError unless every field is ASCII digits below 10^18.
+
+    One gather per decimal place reads that digit of every field, highest
+    place first; a field shorter than the place reads a masked 0 (its index
+    may wrap below the chunk).  Only the rare fields longer than 18 digits
+    are read above that, and there every byte must be a 0.
+    """
     lengths = ends - starts
-    offsets = np.cumsum(lengths) - lengths
-    pos = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
-    place = np.repeat(ends - 1, lengths) - pos       # decimal place of each byte
-    digits = chunk[pos] - np.uint8(ord("0"))
-    if (digits > 9).any():
-        raise ValueError("DIMACS numbers must be runs of ASCII digits")
-    if (digits[place >= _DIMACS_POWERS.size] != 0).any():
-        raise ValueError("DIMACS number out of range")
-    np.minimum(place, _DIMACS_POWERS.size - 1, out=place)
-    return np.add.reduceat(digits * _DIMACS_POWERS[place], offsets)
+    values = np.zeros(starts.size, dtype=np.int64)
+    for place in range(min(int(lengths.max()), _DIMACS_PLACES) - 1, -1, -1):
+        digits = chunk[ends - (place + 1)] - np.uint8(ord("0"))
+        digits *= lengths > place
+        if (digits > 9).any():
+            raise ValueError("DIMACS numbers must be runs of ASCII digits")
+        values *= 10
+        values += digits
+    wide = np.flatnonzero(lengths > _DIMACS_PLACES)
+    if wide.size:
+        high = np.concatenate([chunk[a:b] for a, b in zip(
+            starts[wide].tolist(), (ends[wide] - _DIMACS_PLACES).tolist())])
+        if ((high - np.uint8(ord("0"))) > 9).any():
+            raise ValueError("DIMACS numbers must be runs of ASCII digits")
+        if (high != ord("0")).any():
+            raise ValueError("DIMACS number out of range")
+    return values

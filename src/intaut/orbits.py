@@ -84,30 +84,6 @@ def classify_partition(field: Field, n: int,
     return OrbitDecomposition(tuple(tuple(o) for o in groups))
 
 
-def reflection_matrix(field: Field, v) -> tuple:
-    """The hyperplane reflection fixing the orthogonal complement of v.
-
-    tau_v(x) = x - (2 <x,v> / <v,v>) v, defined for <v,v> != 0; it satisfies
-    tau tau^T = I and depends on v only up to a scalar.
-    """
-    w = space.norm(field, v)
-    if w == 0:
-        raise ValueError("reflection vector must have nonzero norm")
-    n = len(v)
-    factor = field.mul(field.add(1, 1), field.inv(w))  # 2 / <v,v>
-    rows = []
-    for i in range(n):
-        coef = field.mul(factor, v[i])
-        row = []
-        for j in range(n):
-            val = field.neg(field.mul(coef, v[j]))
-            if i == j:
-                val = field.add(val, 1)
-            row.append(val)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def m_generators(field: Field, n: int,
                  max_points: int = DEFAULT_MAX_POINTS) -> list:
     """Permutations generating the scalar-orthogonal group {x -> a x M}.

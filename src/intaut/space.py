@@ -1,5 +1,5 @@
 """Points of the n-dimensional affine space over GF(q), the squared-distance
-form, the square/non-square classification of vectors, and cones.
+form and the square/non-square classification of vectors.
 
 A point is a tuple of n element indices; its canonical index is the mixed
 radix value sum(x[j] * q**j), so coordinate 0 is least significant.
@@ -17,6 +17,8 @@ from .errors import TooLargeError
 from .field import Field
 
 DEFAULT_MAX_POINTS = 100_000
+# (field, n) pairs whose bulk tables stay cached; the least recently used go
+CACHE_SIZE = 8
 
 
 class SphereClass(enum.Enum):
@@ -165,24 +167,11 @@ def sphere_counts_formula(field: Field, n: int) -> SphereCounts:
     return SphereCounts(s0, splus, sminus, eps)
 
 
-def cone(field: Field, n: int, vertex,
-         max_points: int = DEFAULT_MAX_POINTS) -> frozenset:
-    """All points at squared distance zero from the vertex (vertex included)."""
-    check_size(field, n, max_points)
-    if len(vertex) != n:
-        raise ValueError(f"vertex has dimension {len(vertex)}, expected {n}")
-    out = []
-    for p in enumerate_points(field, n, max_points):
-        if distance(field, p, vertex) == 0:
-            out.append(p)
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # bulk views used by the permutation and graph machinery (cached: read-only)
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def point_matrix(field: Field, n: int) -> np.ndarray:
     """q^n x n array of coordinates, row k = point_of_index(k)."""
     q = field.q
@@ -214,7 +203,7 @@ def distance_matrix(field: Field, n: int,
     return _distance_matrix(field, n)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _distance_matrix(field: Field, n: int) -> np.ndarray:
     """Entry (u, v) is the norm of x_u - x_v, read off _norm_array.
 
@@ -256,7 +245,7 @@ def class_of_point(field: Field, n: int,
     return _class_of_point(field, n)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _class_of_point(field: Field, n: int) -> tuple:
     norms = _norm_array(field, n)
     kind = np.where(field.tables.is_square[norms], 2, 3)

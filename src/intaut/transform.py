@@ -349,16 +349,17 @@ def check_bijection(perm, size: int):
         raise NotABijectionError("image list is not a bijection on the index range")
 
 
-def batch_preserves(perms: np.ndarray, relation: np.ndarray,
-                    chunk: int = 256) -> np.ndarray:
+def batch_preserves(perms: np.ndarray, relation: np.ndarray) -> np.ndarray:
     """For each permutation row p, whether relation[p[u], p[v]] == relation[u, v]
-    for all pairs; vectorised in chunks."""
+    for all pairs; vectorised over blocks of rows whose mapped relations
+    take about 2^24 entries together."""
     m = perms.shape[0]
+    rows = max(1, 2 ** 24 // relation.size)
     out = np.empty(m, dtype=bool)
-    for start in range(0, m, chunk):
-        block = perms[start:start + chunk]
+    for start in range(0, m, rows):
+        block = perms[start:start + rows]
         mapped = relation[block[:, :, None], block[:, None, :]]
-        out[start:start + chunk] = (mapped == relation[None, :, :]).all(axis=(1, 2))
+        out[start:start + rows] = (mapped == relation[None, :, :]).all(axis=(1, 2))
     return out
 
 
@@ -426,7 +427,7 @@ def satisfies_zero_iff(field: Field, n: int, perm,
     return _preserves(space.zero_distance_matrix, field, n, perm, max_points)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=space.CACHE_SIZE)
 def _cone_index_sets(field: Field, n: int) -> tuple:
     zero = space.zero_distance_matrix(field, n, space.num_points(field, n))
     return tuple(frozenset(np.flatnonzero(row).tolist()) for row in zero)
@@ -438,8 +439,9 @@ def preserves_cones(field: Field, n: int, perm,
 
     Logically equivalent to satisfies_zero_iff, but checked as images of
     explicit cone sets rather than pair by pair, so the two routes can be
-    checked against each other.  The cone of a vertex is read off its row of
-    space.zero_distance_matrix; space.cone stays the scalar oracle for it.
+    checked against each other.  The cone of a vertex, the points at
+    squared distance zero from it, is read off its row of
+    space.zero_distance_matrix.
     """
     total = space.check_size(field, n, max_points)
     check_bijection(perm, total)

@@ -1,20 +1,22 @@
 """Vectorised fast paths against the scalar code they replaced.
 
 Equitable refinement, the orbital-graph breadth-first search, the cone sets,
-DIMACS reading and writing, the distance matrix, the reflection generators
-and the point permutations of maps each have a numpy implementation in the
-library.  The scalar versions are kept here as oracles, and both must give
-the same answers: the same ordered cells, the same connectivity verdicts,
-the same cone sets, the same matrices and bytes, the same permutations, and
-an identical `AutGroupResult` when the search runs on the oracle refinement.
-The refinement before the "all but the largest" fragment rule stays as a
-second oracle, which must give the same set partition where both are the
-coarsest equitable refinement.
+graph6 and DIMACS reading and writing, the distance matrix, the reflection
+generators and the point permutations of maps each have a numpy
+implementation in the library.  The scalar (or earlier numpy) versions are
+kept here as oracles, and both must give the same answers: the same ordered
+cells, the same connectivity verdicts, the same cone sets, the same matrices
+and bytes, the same permutations, and an identical `AutGroupResult` when the
+search runs on the oracle refinement.  The refinement before the "all but
+the largest" fragment rule stays as a second oracle, which must give the
+same set partition where both are the coarsest equitable refinement.
+`cone` and `reflection_matrix` live only here.
 """
 
 import os
 import subprocess
 import sys
+import time
 from collections import deque
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from intaut.field import is_irreducible
 from intaut.orbits import OrbitalStatus
 from intaut.space import SphereClass
 from intaut.transform import _cone_index_sets
-from test_graph import DIMACS_LIKE, small_graphs
+from test_graph import DIMACS_LIKE, GRAPH6_LIKE, small_graphs
 
 # (p, h, n) of the integral graphs the refinement is compared on
 GRAPHS = [(3, 1, 3), (5, 1, 2), (3, 2, 2), (7, 1, 3)]
@@ -320,15 +322,21 @@ def test_orbital_rejects_asymmetric_step_class(monkeypatch):
 
 # -- cones ------------------------------------------------------------------------
 
+def cone(field, n, vertex) -> frozenset:
+    """All points at squared distance zero from the vertex (vertex included)."""
+    return frozenset(p for p in space.enumerate_points(field, n)
+                     if space.distance(field, p, vertex) == 0)
+
+
 @pytest.mark.parametrize("p,n", [(3, 3), (5, 3), (7, 3)])
 def test_cone_sets_match_scalar_cones(p, n):
     field = Field(p)
     cones = _cone_index_sets(field, n)
     points = space.enumerate_points(field, n)
     assert len(cones) == len(points)
-    for vertex, cone in zip(points, cones):
-        assert cone == {space.canonical_index(field, x)
-                        for x in space.cone(field, n, vertex)}
+    for vertex, want in zip(points, cones):
+        assert want == {space.canonical_index(field, x)
+                        for x in cone(field, n, vertex)}
 
 
 # -- cold start -------------------------------------------------------------------
@@ -457,6 +465,15 @@ def test_dimacs_parser_narrowed_inputs():
             graph.parse_dimacs(text)
 
 
+def test_dimacs_parser_finds_lines_behind_whitespace():
+    """A line's first field may follow whitespace before or after the break,
+    also at the start of the input."""
+    text = "  p edge 3 2\n e 1 2\r\n\x1f\te\t2  3 \x1c c e 9 9\n\n"
+    adj = graph.parse_dimacs(text)
+    assert np.array_equal(adj, parse_dimacs_oracle(text))
+    assert adj.sum() == 4
+
+
 def test_dimacs_parser_reads_lines_across_chunks(monkeypatch):
     """Chunks end at line breaks, a line longer than a chunk included."""
     adj = relabeled(3, 1, 3, seed=5)
@@ -478,6 +495,182 @@ def test_dimacs_writer_matches_oracle_on_relabeled_graphs(p, h, n):
     text = graph.dimacs_text(adj)
     assert text == dimacs_text_oracle(adj)
     assert np.array_equal(graph.parse_dimacs(text), adj)
+
+
+def path_graph(num):
+    adj = np.zeros((num, num), dtype=bool)
+    k = np.arange(num - 1)
+    adj[k, k + 1] = adj[k + 1, k] = True
+    return adj
+
+
+def random_graph(num, seed, density=0.1):
+    adj = np.triu(np.random.default_rng(seed).random((num, num)) < density, 1)
+    return adj | adj.T
+
+
+@pytest.mark.parametrize("num", [9, 10, 99, 100, 999, 1000])
+def test_dimacs_writer_where_the_label_width_changes(num):
+    for adj in (path_graph(num), random_graph(num, seed=num)):
+        text = graph.dimacs_text(adj)
+        assert text == dimacs_text_oracle(adj)
+        assert np.array_equal(graph.parse_dimacs(text), adj)
+
+
+def test_dimacs_reads_numbers_of_many_digits():
+    """Leading zeros may make a field any length; only the value counts."""
+    for field in ["0000000000000000000001", "0" * 17 + "1", "0" * 18 + "1",
+                  "0" * 19 + "1"]:
+        adj = graph.parse_dimacs(f"p edge 2 1\ne {field} 2\n")
+        assert adj[0, 1] and adj[1, 0]
+    chunk = np.frombuffer(b" 999999999999999999 0000000000000000000000042\n",
+                          dtype=np.uint8)
+    got = graph._dimacs_numbers(chunk, np.array([1, 20]), np.array([19, 45]))
+    assert got.tolist() == [999999999999999999, 42]
+
+
+@pytest.mark.parametrize("field", [
+    "1000000000000000000",                 # 10^18
+    "1000000000000000001",                 # 1 if the place of 10^18 were lost
+    "9223372036854775807",                 # the largest int64
+    "9999999999999999999",
+    "18446744073709551617",                # 2^64 + 1, 1 if it wrapped
+    "1" + "0" * 40 + "1",
+    "0" * 30 + "1" + "0" * 18 + "1",
+])
+def test_dimacs_rejects_numbers_of_10_to_the_18_and_above(field):
+    for line in (f"e {field} 2", f"e 1 {field}"):
+        with pytest.raises(ValueError, match="number out of range"):
+            graph.parse_dimacs(f"p edge 2 1\n{line}\n")
+
+
+def test_dimacs_rejects_a_non_digit_among_leading_zeros():
+    with pytest.raises(ValueError, match="ASCII digits"):
+        graph.parse_dimacs("p edge 2 1\ne " + "0" * 30 + "x" + "0" * 20 + "1 2\n")
+    with pytest.raises(ValueError, match="ASCII digits"):     # before any range error
+        graph.parse_dimacs("p edge 2 1\ne " + "9" * 30 + " x2\n")
+
+
+def test_dimacs_reads_a_long_run_of_zeros_in_linear_time():
+    text = "p edge 2 1\ne " + "0" * 100_000 + "1 2\n"
+    start = time.perf_counter()
+    adj = graph.parse_dimacs(text)
+    assert time.perf_counter() - start < 0.5
+    assert adj[0, 1] and adj.sum() == 2
+
+
+# -- graph6 -------------------------------------------------------------------------
+
+GRAPH6_SHIFTS = np.arange(5, -1, -1, dtype=np.uint8)
+GRAPH6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1])
+
+
+def graph6_header_oracle(num):
+    if num <= 62:
+        return bytes([num + 63])
+    count, prefix = (3, b"~") if num <= 258047 else (6, b"~~")
+    return prefix + bytes(((num >> shift) & 63) + 63
+                          for shift in range((count - 1) * 6, -1, -6))
+
+
+def graph6_bytes_oracle(graph_):
+    """The upper triangle by np.tril_indices, 6 bits at a time by a dot
+    product with the bit weights."""
+    adj = graph._simple_matrix(graph_)
+    num = adj.shape[0]
+    bits = adj.T[np.tril_indices(num, -1)]       # adj[i, j] for i < j, by j
+    bits = np.concatenate([bits, np.zeros(-bits.size % 6, dtype=bool)])
+    body = bits.reshape(-1, 6) @ GRAPH6_WEIGHTS + 63
+    return graph6_header_oracle(num) + body.astype(np.uint8).tobytes() + b"\n"
+
+
+def parse_graph6_oracle(data):
+    """Bits by shifting every byte by each of 5..0, stored by np.tril_indices."""
+    if isinstance(data, bytes):
+        data = data.decode("ascii")
+    line = data.strip()
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<"):]
+    if not line:
+        raise ValueError("empty graph6 input")
+    try:
+        codes = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        raise ValueError("invalid graph6 character") from None
+    if ((codes < 63) | (codes > 126)).any():
+        raise ValueError("invalid graph6 character")
+    codes = codes - np.uint8(63)
+    head = codes[:8].tolist()
+    if head[0] < 63:
+        num, pos = head[0], 1
+    elif len(head) >= 4 and head[1] < 63:
+        num = (head[1] << 12) | (head[2] << 6) | head[3]
+        pos = 4
+    elif len(head) == 8 and head[1] == 63:
+        num = 0
+        for c in head[2:8]:
+            num = (num << 6) | c
+        pos = 8
+    else:
+        raise ValueError("truncated graph6 size header")
+    needed = num * (num - 1) // 2
+    payload = -(-needed // 6)
+    if len(codes) - pos != payload:
+        raise ValueError(f"graph6 payload of {num} vertices must be {payload} "
+                         f"bytes, got {len(codes) - pos}")
+    bits = ((codes[pos:, None] >> GRAPH6_SHIFTS) & 1).astype(bool).ravel()
+    if bits[needed:].any():
+        raise ValueError("graph6 padding bits must be zero")
+    adj = np.zeros((num, num), dtype=bool)
+    adj.T[np.tril_indices(num, -1)] = bits[:needed]
+    return adj | adj.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_graph6_matches_oracle(adj):
+    data = graph.graph6_bytes(adj)
+    assert data == graph6_bytes_oracle(adj)
+    back = graph.parse_graph6(data)
+    assert np.array_equal(back, parse_graph6_oracle(data))
+    assert np.array_equal(back, adj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRAPH6_LIKE)
+def test_graph6_parser_matches_oracle_on_arbitrary_codes(data):
+    """Equal matrices, or ValueError from both."""
+    try:
+        expected = parse_graph6_oracle(data)
+    except ValueError:
+        with pytest.raises(ValueError):
+            graph.parse_graph6(data)
+    else:
+        assert np.array_equal(graph.parse_graph6(data), expected)
+
+
+# 62 and 63 straddle the change from a one-byte to a four-byte size header.
+# N(N-1)/2 mod 6, the number of bits in the last group, is never 2 or 5; it
+# is 1, 3, 0, 4 and 1 at 2-5 and 62, and 3, 0, 4 and 1 at 63-65 and 71, so
+# each header is met with every padding
+GRAPH6_SIZES = [2, 3, 4, 5, 62, 63, 64, 65, 71]
+
+
+@pytest.mark.parametrize("num", GRAPH6_SIZES)
+def test_graph6_at_header_and_padding_boundaries(num):
+    for adj in (np.zeros((num, num), dtype=bool), ~np.eye(num, dtype=bool),
+                random_graph(num, seed=num, density=0.5)):
+        data = graph.graph6_bytes(adj)
+        assert data == graph6_bytes_oracle(adj)
+        assert data[0] == (num + 63 if num <= 62 else 126)
+        assert np.array_equal(graph.parse_graph6(data), adj)
+
+
+def test_graph6_boundary_sizes_cover_every_padding_residue():
+    residues = {0, 1, 3, 4}
+    assert {n * (n - 1) // 2 % 6 for n in range(2, 200)} == residues
+    assert {n * (n - 1) // 2 % 6 for n in GRAPH6_SIZES if n <= 62} == residues
+    assert {n * (n - 1) // 2 % 6 for n in GRAPH6_SIZES if n > 62} == residues
 
 
 # -- distance matrix ---------------------------------------------------------------
@@ -535,6 +728,30 @@ def map_permutation_array_oracle(field, n, scale, frob, matrix, shift):
     return transform._encode_points(field, np.stack(cols, axis=1))
 
 
+def reflection_matrix(field, v) -> tuple:
+    """The hyperplane reflection fixing the orthogonal complement of v.
+
+    tau_v(x) = x - (2 <x,v> / <v,v>) v, defined for <v,v> != 0; it satisfies
+    tau tau^T = I and depends on v only up to a scalar.
+    """
+    w = space.norm(field, v)
+    if w == 0:
+        raise ValueError("reflection vector must have nonzero norm")
+    n = len(v)
+    factor = field.mul(field.add(1, 1), field.inv(w))  # 2 / <v,v>
+    rows = []
+    for i in range(n):
+        coef = field.mul(factor, v[i])
+        row = []
+        for j in range(n):
+            val = field.neg(field.mul(coef, v[j]))
+            if i == j:
+                val = field.add(val, 1)
+            row.append(val)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def m_generators_oracle(field, n):
     """m_generators as a loop over the points with scalar field arithmetic:
     one reflection_matrix and one oracle call per class."""
@@ -554,7 +771,7 @@ def m_generators_oracle(field, n):
         if unit in seen:
             continue
         seen.add(unit)
-        tau = orbits.reflection_matrix(field, unit)
+        tau = reflection_matrix(field, unit)
         gens.append(map_permutation_array_oracle(field, n, 1, 0, tau, (0,) * n))
     return gens
 

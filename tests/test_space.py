@@ -1,13 +1,15 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from intaut import Field, TooLargeError, build_integral_graph
-from intaut.space import (DEFAULT_MAX_POINTS, SphereClass, canonical_index,
-                          class_of_point, classify, cone, distance,
+from intaut import Field, TooLargeError, build_integral_graph, space, transform
+from intaut.space import (CACHE_SIZE, DEFAULT_MAX_POINTS, SphereClass,
+                          canonical_index, class_of_point, classify, distance,
                           distance_matrix, enumerate_points, is_integral, norm,
                           point_matrix, point_of_index, sphere_counts_enumerated,
                           sphere_counts_formula)
+from test_oracles import cone
 
 # (p, h, n) for every grid instance with q^n <= 20000
 GRID = [(p, h, n)
@@ -182,3 +184,24 @@ def test_cached_arrays_are_read_only_with_one_entry():
         with pytest.raises(ValueError):
             arr[0, 1] = 2
     assert build_integral_graph(f, 2).num_edges == 18
+
+
+def test_caches_keep_at_most_cache_size_entries():
+    """Cycling through more (field, n) pairs than CACHE_SIZE leaves every
+    bulk cache at CACHE_SIZE entries; an evicted entry is rebuilt equal."""
+    keys = [(Field(p), n) for p in (3, 5, 7, 11) for n in (1, 2, 3) if p ** n <= 400]
+    assert len(keys) > CACHE_SIZE
+    cached = (space.point_matrix, space._distance_matrix, space._class_of_point,
+              transform._cone_index_sets)
+    first = [f(*keys[0]) for f in cached]
+    for key in keys:
+        for f in cached:
+            f(*key)
+    for f, old in zip(cached, first):
+        assert f.cache_info().currsize == CACHE_SIZE
+        new = f(*keys[0])
+        assert new is not old
+        if isinstance(old, np.ndarray):
+            assert np.array_equal(new, old) and not new.flags.writeable
+        else:
+            assert new == old

@@ -145,6 +145,27 @@ def test_every_group_element_preserves_integrality(f3, sa33):
     assert bool(ok.all())
 
 
+def test_batch_preserves_agrees_with_one_row_calls_across_blocks():
+    """Rows are checked in blocks of 2^24 // N^2 permutations, 31 at 729
+    points; a stack spanning several blocks, automorphisms and others
+    shuffled together, gives the answers of one-row calls."""
+    from intaut.orbits import semiaffine_generators
+    from intaut.space import integral_matrix
+    from intaut.transform import batch_preserves
+    f3 = Field(3)
+    rel = integral_matrix(f3, 6)
+    gens = np.stack(semiaffine_generators(f3, 6)[:30])
+    rng = np.random.default_rng(5)
+    swapped = gens.copy()
+    swapped[:, [0, 1]] = swapped[:, [1, 0]]
+    perms = np.concatenate([gens, swapped, rng.permuted(gens, axis=1)])
+    perms = perms[rng.permutation(len(perms))]
+    assert len(perms) > 2 * (2 ** 24 // rel.size)
+    got = batch_preserves(perms, rel)
+    assert got.tolist() == [bool(batch_preserves(p[None], rel)[0]) for p in perms]
+    assert got.sum() == len(gens)
+
+
 def test_to_permutation_translation_is_fixed_point_free(f3):
     m = SemiaffineMap(1, 0, mat_identity(3), (0, 1, 0))
     perm = to_permutation(f3, 3, m)

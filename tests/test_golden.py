@@ -1,8 +1,9 @@
 """CLI stdout, exported files and search results against committed goldens.
 
 Each case runs `python -m intaut` in a fresh directory and compares its exit
-code, its stdout with tests/golden/<case>.txt and, for exports, the written
-file with tests/golden/<case>.<format>.  tests/golden/aut-ladder.txt pins the
+code, its stdout with tests/golden/<case>.txt, its stderr with
+tests/golden/<case>.err (empty when that file does not exist) and, for
+exports, the written file with tests/golden/<case>.<format>.  tests/golden/aut-ladder.txt pins the
 `AutGroupResult` of the automorphism search on relabeled graphs of 343 to 729
 points: order, node count, number of generators and a sha256 of the
 generators.  After an intended output change, regenerate the goldens with
@@ -49,6 +50,18 @@ CASES = {
                        "--out", "graph.graph6"], 0, "graph.graph6"),
     "export-dimacs": (["export", "--p", "3", "--n", "3", "--format", "dimacs",
                        "--out", "graph.dimacs"], 0, "graph.dimacs"),
+    # --max-points refuses q^n above it with exit 2, or admits it when raised
+    "spheres-27-refused": (["spheres", "--p", "3", "--n", "3", "--max-points", "10"],
+                           2, None),
+    "verify-27-refused": (["verify", "--p", "3", "--n", "3", "--max-points", "10"],
+                          2, None),
+    "recognize-27-refused": (["recognize", "--p", "3", "--n", "3", "--perm-file",
+                              str(GOLDEN / "recognize-27-swap.perm"),
+                              "--max-points", "10"], 2, None),
+    "export-27-refused": (["export", "--p", "3", "--n", "3", "--format", "dimacs",
+                           "--out", "graph.dimacs", "--max-points", "10"], 2, None),
+    "spheres-961-raised": (["spheres", "--p", "31", "--h", "2", "--n", "2",
+                            "--max-points", "923521"], 0, None),
 }
 
 
@@ -74,20 +87,23 @@ def ladder_text():
 
 
 def run_case(case, workdir):
-    """Exit code, stdout bytes and exported bytes (or None) of one case."""
+    """Exit code, stdout bytes, stderr bytes and exported bytes (or None) of
+    one case."""
     argv, _, exported = CASES[case]
     env = dict(os.environ, PYTHONPATH=str(Path(intaut.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-m", "intaut", *argv], cwd=workdir,
                           env=env, capture_output=True)
     payload = (Path(workdir) / exported).read_bytes() if exported else None
-    return proc.returncode, proc.stdout, payload
+    return proc.returncode, proc.stdout, proc.stderr, payload
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden(case, tmp_path):
-    code, stdout, payload = run_case(case, tmp_path)
+    code, stdout, stderr, payload = run_case(case, tmp_path)
     assert code == CASES[case][1]
     assert stdout == (GOLDEN / f"{case}.txt").read_bytes()
+    err = GOLDEN / f"{case}.err"
+    assert stderr == (err.read_bytes() if err.exists() else b"")
     if payload is not None:
         suffix = Path(CASES[case][2]).suffix
         assert payload == (GOLDEN / f"{case}{suffix}").read_bytes()
@@ -101,10 +117,13 @@ if __name__ == "__main__":
     import tempfile
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
-            code, stdout, payload = run_case(case, tmp)
+            code, stdout, stderr, payload = run_case(case, tmp)
         if code != CASES[case][1]:
             sys.exit(f"{case}: exit {code}, expected {CASES[case][1]}")
         (GOLDEN / f"{case}.txt").write_bytes(stdout)
+        (GOLDEN / f"{case}.err").unlink(missing_ok=True)
+        if stderr:
+            (GOLDEN / f"{case}.err").write_bytes(stderr)
         if payload is not None:
             (GOLDEN / f"{case}{Path(CASES[case][2]).suffix}").write_bytes(payload)
         print(f"{case}: {len(stdout)} bytes")

@@ -4,7 +4,8 @@ Every subcommand prints key/value pairs: aligned text for humans, or one
 key<TAB>value pair per line with --output tsv for scripting.  Exit codes:
 0 all checks in their predicted state, 1 a mathematical check failed,
 2 usage or configuration error, 3 internal error (the traceback goes to
-stderr).
+stderr).  Each command that takes --n refuses q^n above --max-points with
+exit 2; the library takes no such bound, only its bulk bounds on memory.
 
 `verify` holds every group as generators, never as an element list: the
 classification, the distance-zero and cone checks, and the rank and
@@ -115,7 +116,8 @@ def cmd_spheres(args) -> int:
     _validate_common(args, min_n=1)
     field = _build_field(args)
     formula = space.sphere_counts_formula(field, args.n)
-    enumerated = space.sphere_counts_enumerated(field, args.n, args.max_points)
+    space.check_size(field, args.n, args.max_points)
+    enumerated = space.sphere_counts_enumerated(field, args.n)
     rep = Reporter(args.output)
     rep.emit("q", field.q)
     rep.emit("n", args.n)
@@ -132,10 +134,10 @@ def cmd_spheres(args) -> int:
     return 0 if match else CHECK_FAILED
 
 
-def _orbital_report(rep, field, n, max_points):
+def _orbital_report(rep, field, n):
     statuses = {}
     for cls in (SphereClass.ISOTROPIC, SphereClass.SQUARE, SphereClass.NONSQUARE):
-        status = orbitsmod.orbital_connected(field, n, cls, max_points)
+        status = orbitsmod.orbital_connected(field, n, cls)
         statuses[cls] = status
         rep.emit(f"orbital_{cls.value}", status.value)
     return statuses
@@ -151,27 +153,30 @@ def cmd_verify(args) -> int:
     gates = []
 
     formula = space.sphere_counts_formula(field, n)
-    enumerated = space.sphere_counts_enumerated(field, n, args.max_points)
+    space.check_size(field, n, args.max_points)
+    enumerated = space.sphere_counts_enumerated(field, n)
     sphere_ok = formula == enumerated
     rep.emit("sphere_match", sphere_ok)
     gates.append(sphere_ok)
 
-    morb = orbitsmod.m_orbits(field, n, args.max_points)
-    part = orbitsmod.classify_partition(field, n, args.max_points)
+    # the graph holds the bulk bound: refuse before the relation-side work
+    g = graphmod.build_integral_graph(field, n)
+    if args.corrupt:
+        g = graphmod.flip_edge(g, 0, 1)
+
+    morb = orbitsmod.m_orbits(field, n)
+    part = orbitsmod.classify_partition(field, n)
     morb_ok = morb.as_sets() == part.as_sets()
     rep.emit("m_orbits_match", morb_ok)
     gates.append(morb_ok)
 
-    statuses = _orbital_report(rep, field, n, args.max_points)
+    statuses = _orbital_report(rep, field, n)
     if n >= 3:
         gates.append(all(s is OrbitalStatus.CONNECTED for s in statuses.values()))
 
-    g = graphmod.build_integral_graph(field, n, args.max_points)
     if args.corrupt:
-        g = graphmod.flip_edge(g, 0, 1)
         rep.emit("corrupted", True)
-    report = graphmod.verify_classification(field, n, graph=g,
-                                            max_points=args.max_points)
+    report = graphmod.verify_classification(field, n, graph=g)
     rep.emit("aut_order", report.aut_order)
     rep.emit("semiaffine_order", report.semiaffine_order)
     rep.emit("containment", report.containment_ok)
@@ -190,13 +195,13 @@ def cmd_verify(args) -> int:
         # a group preserves a relation iff its generators do
         gens = report.aut_generators
         zero_failures = sum(
-            not transform.satisfies_zero_iff(field, n, perm, args.max_points)
+            not transform.satisfies_zero_iff(field, n, perm)
             for perm in gens)
         rep.emit("zero_iff_checked", len(gens))
         rep.emit("zero_iff_failures", zero_failures)
 
         cone_failures = sum(
-            not transform.preserves_cones(field, n, perm, args.max_points)
+            not transform.preserves_cones(field, n, perm)
             for perm in gens)
         rep.emit("cone_checked", len(gens))
         rep.emit("cone_failures", cone_failures)
@@ -234,7 +239,8 @@ def cmd_recognize(args) -> int:
         # NotABijectionError is a ValueError: malformed input, not a math failure
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    result = transform.recognize_semiaffine(field, n, perm, args.max_points)
+    space.check_size(field, n, args.max_points)
+    result = transform.recognize_semiaffine(field, n, perm)
     rep = Reporter(args.output)
     if result is None:
         rep.emit("result", "NOT-SEMIAFFINE")
@@ -252,8 +258,9 @@ def cmd_recognize(args) -> int:
 def cmd_export(args) -> int:
     _validate_common(args, min_n=1)
     field = _build_field(args)
+    space.check_size(field, args.n, args.max_points)
     try:
-        g = graphmod.build_integral_graph(field, args.n, args.max_points)
+        g = graphmod.build_integral_graph(field, args.n)
         if args.format == "graph6":
             payload = graphmod.graph6_bytes(g)
         else:

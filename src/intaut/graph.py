@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistencyError, TooLargeError
+from .errors import TooLargeError
 from .field import Field
 from . import orbits, space, transform
-from .space import DEFAULT_MAX_POINTS
 
 MAX_AUT_VERTICES = 750
 
@@ -49,10 +48,8 @@ class IntegralGraph:
         return int(self.adjacency.sum()) // 2
 
 
-def build_integral_graph(field: Field, n: int,
-                         max_points: int = DEFAULT_MAX_POINTS) -> IntegralGraph:
-    total = space.check_size(field, n, max_points)
-    adj = space.integral_matrix(field, n, max_points).copy()
+def build_integral_graph(field: Field, n: int) -> IntegralGraph:
+    adj = space.integral_matrix(field, n).copy()
     np.fill_diagonal(adj, False)
     adj.setflags(write=False)
     return IntegralGraph(adj, field, n)
@@ -220,7 +217,7 @@ def _target_cell(bnd):
     return int(starts[k]), int(starts[k] + sizes[k])
 
 
-def automorphism_group(graph, *, max_vertices: int = MAX_AUT_VERTICES) -> AutGroupResult:
+def automorphism_group(graph) -> AutGroupResult:
     """Exact automorphism group order and verified generators.
 
     A base of vertices is fixed along the leftmost individualization path
@@ -234,11 +231,14 @@ def automorphism_group(graph, *, max_vertices: int = MAX_AUT_VERTICES) -> AutGro
     A branch whose cell sizes differ from the path's at the same depth is
     rejected by comparing cell-start masks; at a leaf the candidate maps
     the path's leaf order onto the branch's, position by position.
+
+    A graph of more than MAX_AUT_VERTICES vertices raises TooLargeError.
     """
     adj = _as_matrix(graph)
     num = adj.shape[0]
-    if num > max_vertices:
-        raise TooLargeError(f"{num} vertices exceed the search bound {max_vertices}")
+    if num > MAX_AUT_VERTICES:
+        raise TooLargeError(
+            f"{num} vertices exceed the search bound {MAX_AUT_VERTICES}")
     if num == 0:
         return AutGroupResult(1, (), 0)
 
@@ -310,10 +310,6 @@ def automorphism_group(graph, *, max_vertices: int = MAX_AUT_VERTICES) -> AutGro
                 orbit = orbit_of(b, level)
         group_order *= len(orbit)
 
-    for g in generators:
-        if not verify(g):
-            raise InternalInconsistencyError(
-                "search produced a non-automorphism generator")
     gens = tuple(tuple(g.tolist()) for g in generators)
     return AutGroupResult(group_order, gens, node_count)
 
@@ -348,8 +344,7 @@ def expected_verdict(field: Field, n: int) -> Verdict:
 
 
 def verify_classification(field: Field, n: int, *,
-                          graph: IntegralGraph | None = None,
-                          max_points: int = DEFAULT_MAX_POINTS) -> ClassificationReport:
+                          graph: IntegralGraph | None = None) -> ClassificationReport:
     """Compare the graph automorphism group with the map-family group.
 
     Every family generator must preserve adjacency and every engine generator
@@ -359,13 +354,13 @@ def verify_classification(field: Field, n: int, *,
     Violation.
     """
     if graph is None:
-        graph = build_integral_graph(field, n, max_points)
+        graph = build_integral_graph(field, n)
     aut = automorphism_group(graph)
-    gens = orbits.semiaffine_generators(field, n, max_points)
+    gens = orbits.semiaffine_generators(field, n)
     ok = bool(transform.batch_preserves(np.stack(gens), graph.adjacency).all())
     sa_order = transform.semiaffine_order(field, n)
     extra = next((g for g in aut.generators
-                  if transform.recognize_semiaffine(field, n, g, max_points) is None),
+                  if transform.recognize_semiaffine(field, n, g) is None),
                  None)
     if ok and aut.order > sa_order:
         verdict = Verdict.STRICTLY_LARGER

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import InternalInconsistencyError, NotAGroupError, TooLargeError
 from .field import Field
 from . import space, transform
-from .space import DEFAULT_MAX_POINTS, SphereClass
+from .space import SphereClass
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,9 @@ def orbits_under(perms, size: int) -> OrbitDecomposition:
                                     for a, b in zip(cuts, cuts[1:]) if b > a))
 
 
-def classify_partition(field: Field, n: int,
-                       max_points: int = DEFAULT_MAX_POINTS) -> OrbitDecomposition:
+def classify_partition(field: Field, n: int) -> OrbitDecomposition:
     """Point indices grouped by norm class, empty classes omitted."""
-    classes = space.class_of_point(field, n, max_points)
+    classes = space.class_of_point(field, n)
     buckets = {cls: [] for cls in SphereClass}
     for k, cls in enumerate(classes):
         buckets[cls].append(k)
@@ -84,8 +83,7 @@ def classify_partition(field: Field, n: int,
     return OrbitDecomposition(tuple(tuple(o) for o in groups))
 
 
-def m_generators(field: Field, n: int,
-                 max_points: int = DEFAULT_MAX_POINTS) -> list:
+def m_generators(field: Field, n: int) -> list:
     """Permutations generating the scalar-orthogonal group {x -> a x M}.
 
     The orthogonal part is generated by the reflections tau_v over all
@@ -98,7 +96,7 @@ def m_generators(field: Field, n: int,
     matrices I - (2 / <v,v>) v v^T are formed at once and mapped to
     permutations in one batch.
     """
-    total = space.check_size(field, n, max_points)
+    total = space.num_points(field, n)
     tb = field.tables
     points = space.point_matrix(field, n)
     norms = space._norm_array(field, n)
@@ -119,11 +117,10 @@ def m_generators(field: Field, n: int,
     return list(transform.map_permutation_array(field, n, 1, 0, matrices, (0,) * n))
 
 
-def semiaffine_generators(field: Field, n: int,
-                          max_points: int = DEFAULT_MAX_POINTS) -> list:
+def semiaffine_generators(field: Field, n: int) -> list:
     """m_generators, one Frobenius map when h > 1, and the translations by the
     basis vectors, which the scalars carry onto every translation."""
-    gens = m_generators(field, n, max_points)
+    gens = m_generators(field, n)
     identity = transform.mat_identity(n)
     if field.h > 1:
         gens.append(transform.map_permutation_array(
@@ -133,11 +130,9 @@ def semiaffine_generators(field: Field, n: int,
     return gens
 
 
-def m_orbits(field: Field, n: int,
-             max_points: int = DEFAULT_MAX_POINTS) -> OrbitDecomposition:
+def m_orbits(field: Field, n: int) -> OrbitDecomposition:
     """Orbits of the scalar-orthogonal group on the point set."""
-    total = space.check_size(field, n, max_points)
-    return orbits_under(m_generators(field, n, max_points), total)
+    return orbits_under(m_generators(field, n), space.num_points(field, n))
 
 
 def stabilizer_orbits(group, fixed_index: int, *,
@@ -174,14 +169,13 @@ class OrbitalStatus(enum.Enum):
 
 
 def orbital_neighbors(field: Field, n: int, sphere_class: SphereClass,
-                      index: int,
-                      max_points: int = DEFAULT_MAX_POINTS) -> tuple:
+                      index: int) -> tuple:
     """Out-neighbors x + y of the vertex x, over all y in the step class;
     out-degree therefore equals the class cardinality."""
     if sphere_class is SphereClass.ORIGIN:
         raise ValueError("step class must be one of the nonzero classes")
-    total = space.check_size(field, n, max_points)
-    classes = space.class_of_point(field, n, max_points)
+    total = space.num_points(field, n)
+    classes = space.class_of_point(field, n)
     x = space.point_of_index(field, n, index)
     out = []
     for k in range(total):
@@ -191,8 +185,8 @@ def orbital_neighbors(field: Field, n: int, sphere_class: SphereClass,
     return tuple(out)
 
 
-def orbital_connected(field: Field, n: int, sphere_class: SphereClass,
-                      max_points: int = DEFAULT_MAX_POINTS) -> OrbitalStatus:
+def orbital_connected(field: Field, n: int,
+                      sphere_class: SphereClass) -> OrbitalStatus:
     """Connectivity of the graph with steps x -> x + y over y in the class.
 
     The step set is closed under negation (squaring kills the sign), which is
@@ -203,8 +197,8 @@ def orbital_connected(field: Field, n: int, sphere_class: SphereClass,
     """
     if sphere_class is SphereClass.ORIGIN:
         raise ValueError("connectivity is defined for the nonzero classes only")
-    total = space.check_size(field, n, max_points)
-    classes = space.class_of_point(field, n, max_points)
+    total = space.num_points(field, n)
+    classes = space.class_of_point(field, n)
     steps = np.fromiter((k for k in range(total) if classes[k] is sphere_class),
                         np.intp)
     if not steps.size:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import TooLargeError
 from .field import Field
 
+# the CLI's default --max-points; library functions take no such bound
 DEFAULT_MAX_POINTS = 100_000
 # (field, n) pairs whose bulk tables stay cached; the least recently used go
 CACHE_SIZE = 8
@@ -44,12 +45,12 @@ def num_points(field: Field, n: int) -> int:
     return field.q ** n
 
 
-def check_size(field: Field, n: int, max_points: int = DEFAULT_MAX_POINTS):
+def check_size(field: Field, n: int, bound: int):
+    """Raise TooLargeError if q^n exceeds the enumeration bound."""
     total = num_points(field, n)
-    if total > max_points:
+    if total > bound:
         raise TooLargeError(
-            f"q^n = {total} exceeds the enumeration bound {max_points}")
-    return total
+            f"q^n = {total} exceeds the enumeration bound {bound}")
 
 
 def point_of_index(field: Field, n: int, k: int) -> tuple:
@@ -73,15 +74,11 @@ def canonical_index(field: Field, point) -> int:
     return k
 
 
-def enumerate_points(field: Field, n: int, max_points: int = DEFAULT_MAX_POINTS):
+def enumerate_points(field: Field, n: int):
     """All points in canonical index order."""
-    check_size(field, n, max_points)
-    q = field.q
-    if n == 1:
-        return [(x,) for x in range(q)]
     pts = [()]
     for _ in range(n):
-        pts = [p + (x,) for x in range(q) for p in pts]
+        pts = [p + (x,) for x in range(field.q) for p in pts]
     return pts
 
 
@@ -129,10 +126,8 @@ def classify(field: Field, v) -> SphereClass:
     return SphereClass.NONSQUARE
 
 
-def sphere_counts_enumerated(field: Field, n: int,
-                             max_points: int = DEFAULT_MAX_POINTS) -> SphereCounts:
+def sphere_counts_enumerated(field: Field, n: int) -> SphereCounts:
     """Exact class sizes by classifying every point; the brute-force oracle."""
-    check_size(field, n, max_points)
     norms = _norm_array(field, n)
     zero_norms = int(np.count_nonzero(norms == 0))
     squares = int(np.count_nonzero(field.tables.is_square[norms]))
@@ -193,19 +188,12 @@ def _norm_array(field: Field, n: int) -> np.ndarray:
     return acc
 
 
-def distance_matrix(field: Field, n: int,
-                    max_points: int = DEFAULT_MAX_POINTS) -> np.ndarray:
-    """q^n x q^n array of squared distances between all point pairs."""
-    total = check_size(field, n, max_points)
-    if total * total > 4_000_000:
-        raise TooLargeError(
-            f"pairwise table with {total}^2 entries exceeds the bulk bound")
-    return _distance_matrix(field, n)
-
-
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _distance_matrix(field: Field, n: int) -> np.ndarray:
-    """Entry (u, v) is the norm of x_u - x_v, read off _norm_array.
+def distance_matrix(field: Field, n: int) -> np.ndarray:
+    """q^n x q^n array of squared distances between all point pairs: entry
+    (u, v) is the norm of x_u - x_v, read off _norm_array.  Over 4,000,000
+    entries it raises TooLargeError; lru_cache caches no raise, so the bound
+    holds on every call.
 
     The index of x_u - x_v is sum_j (u_j - v_j) q^j.  With the point indices
     reshaped to n digit axes each (coordinate j on axis n-1-j), the term of
@@ -215,6 +203,9 @@ def _distance_matrix(field: Field, n: int) -> np.ndarray:
     tb = field.tables
     q = field.q
     total = q ** n
+    if total * total > 4_000_000:
+        raise TooLargeError(
+            f"pairwise table with {total}^2 entries exceeds the bulk bound")
     sub = tb.add[:, tb.neg]                        # sub[a, b] = a - b
     diff = np.zeros((q,) * (2 * n), dtype=np.int32)
     for j in range(n):
@@ -226,27 +217,19 @@ def _distance_matrix(field: Field, n: int) -> np.ndarray:
     return out
 
 
-def integral_matrix(field: Field, n: int,
-                    max_points: int = DEFAULT_MAX_POINTS) -> np.ndarray:
+def integral_matrix(field: Field, n: int) -> np.ndarray:
     """Boolean matrix of the integral-distance relation (diagonal True)."""
-    return field.tables.is_square[distance_matrix(field, n, max_points)]
+    return field.tables.is_square[distance_matrix(field, n)]
 
 
-def zero_distance_matrix(field: Field, n: int,
-                         max_points: int = DEFAULT_MAX_POINTS) -> np.ndarray:
+def zero_distance_matrix(field: Field, n: int) -> np.ndarray:
     """Boolean matrix of the distance-zero relation (diagonal True)."""
-    return distance_matrix(field, n, max_points) == 0
-
-
-def class_of_point(field: Field, n: int,
-                   max_points: int = DEFAULT_MAX_POINTS) -> tuple:
-    """SphereClass of every point, indexed by canonical point index."""
-    check_size(field, n, max_points)
-    return _class_of_point(field, n)
+    return distance_matrix(field, n) == 0
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _class_of_point(field: Field, n: int) -> tuple:
+def class_of_point(field: Field, n: int) -> tuple:
+    """SphereClass of every point, indexed by canonical point index."""
     norms = _norm_array(field, n)
     kind = np.where(field.tables.is_square[norms], 2, 3)
     kind[norms == 0] = 1

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import InternalInconsistencyError, NotABijectionError, TooLargeError
 from .field import Field
 from . import space
-from .space import DEFAULT_MAX_POINTS
 
 # ---------------------------------------------------------------------------
 # matrices (tuples of row tuples of element indices)
@@ -121,10 +120,8 @@ def apply_map(field: Field, m: SemiaffineMap, x) -> tuple:
     return tuple(field.add(a, b) for a, b in zip(y, m.shift))
 
 
-def to_permutation(field: Field, n: int, m: SemiaffineMap,
-                   max_points: int = DEFAULT_MAX_POINTS) -> tuple:
+def to_permutation(field: Field, n: int, m: SemiaffineMap) -> tuple:
     """Point permutation induced by the map, images indexed canonically."""
-    space.check_size(field, n, max_points)
     arr = map_permutation_array(field, n, m.scale, m.frob, m.matrix, m.shift)
     perm = tuple(arr.tolist())
     if len(set(perm)) != len(perm):
@@ -185,16 +182,13 @@ def map_permutation_array(field, n, scale, frob, matrix, shift) -> np.ndarray:
 # orthogonal matrix enumeration
 # ---------------------------------------------------------------------------
 
-def unit_sphere(field: Field, n: int,
-                max_points: int = DEFAULT_MAX_POINTS) -> list:
+def unit_sphere(field: Field, n: int) -> list:
     """All vectors of squared norm one, in canonical index order."""
-    space.check_size(field, n, max_points)
-    return [p for p in space.enumerate_points(field, n, max_points)
+    return [p for p in space.enumerate_points(field, n)
             if space.norm(field, p) == 1]
 
 
 def enumerate_orthogonal(field: Field, n: int, *,
-                         max_points: int = DEFAULT_MAX_POINTS,
                          limit: int = 500_000) -> list:
     """All n x n matrices with M M^T = I, by row-extension backtracking.
 
@@ -202,7 +196,7 @@ def enumerate_orthogonal(field: Field, n: int, *,
     new row orthogonal to all earlier ones, so the output is ordered
     lexicographically by the row index vectors.
     """
-    candidates = unit_sphere(field, n, max_points)
+    candidates = unit_sphere(field, n)
     out = []
 
     def dot(u, v):
@@ -235,7 +229,7 @@ def orthogonal_bruteforce(field: Field, n: int, *,
     total = q ** (n * n)
     if total > limit:
         raise TooLargeError(f"{total} candidate matrices exceed the scan bound")
-    rows_all = space.enumerate_points(field, n, max_points=max(q ** n, 1))
+    rows_all = space.enumerate_points(field, n)
     out = []
 
     def extend(rows):
@@ -256,14 +250,13 @@ def orthogonal_bruteforce(field: Field, n: int, *,
 # the full permutation group of the map family
 # ---------------------------------------------------------------------------
 
-def linear_actions(field: Field, n: int, *,
-                   max_points: int = DEFAULT_MAX_POINTS) -> list:
+def linear_actions(field: Field, n: int) -> list:
     """Distinct point permutations of the shift-free maps, as numpy rows.
 
     Parameter tuples (scale, frob, matrix) are deduplicated by action; the
     expected collision is exactly (s, M) with (-s, -M).
     """
-    orth = enumerate_orthogonal(field, n, max_points=max_points)
+    orth = enumerate_orthogonal(field, n)
     zero = (0,) * n
     seen = {}
     for i in range(field.h):
@@ -274,10 +267,9 @@ def linear_actions(field: Field, n: int, *,
     return list(seen.values())
 
 
-def translation_array(field: Field, n: int,
-                      max_points: int = DEFAULT_MAX_POINTS) -> np.ndarray:
+def translation_array(field: Field, n: int) -> np.ndarray:
     """Row b = permutation induced by the translation x -> x + point(b)."""
-    total = space.check_size(field, n, max_points)
+    total = space.num_points(field, n)
     add = field.tables.add
     pts = space.point_matrix(field, n)
     cols = []
@@ -289,17 +281,16 @@ def translation_array(field: Field, n: int,
 
 
 def semiaffine_group(field: Field, n: int, *,
-                     max_points: int = DEFAULT_MAX_POINTS,
                      max_elements: int = 200_000) -> list:
     """Every point permutation induced by the map family, deduplicated by
     action and sorted lexicographically."""
-    total = space.check_size(field, n, max_points)
-    linear = linear_actions(field, n, max_points=max_points)
+    total = space.num_points(field, n)
+    linear = linear_actions(field, n)
     if len(linear) * total > max_elements:
         raise TooLargeError(
             f"map family has {len(linear) * total} elements, over the bound "
             f"{max_elements}")
-    trans = translation_array(field, n, max_points)
+    trans = translation_array(field, n)
     blocks = [trans[:, l] for l in linear]     # rows: shift after linear part
     all_perms = np.concatenate(blocks, axis=0)
     uniq = np.unique(all_perms, axis=0)
@@ -367,8 +358,7 @@ def batch_preserves(perms: np.ndarray, relation: np.ndarray) -> np.ndarray:
 # recognition and the verification predicates
 # ---------------------------------------------------------------------------
 
-def recognize_semiaffine(field: Field, n: int, perm,
-                         max_points: int = DEFAULT_MAX_POINTS):
+def recognize_semiaffine(field: Field, n: int, perm):
     """Decompose a point permutation into map parameters, or return None.
 
     The shift is the image of the origin.  After removing it, the images of
@@ -377,8 +367,7 @@ def recognize_semiaffine(field: Field, n: int, perm,
     agrees with x -> frobenius(x) @ B, then B B^T must be a scalar c times
     the identity and c must be a square a^2, yielding matrix = B / a.
     """
-    total = space.check_size(field, n, max_points)
-    check_bijection(perm, total)
+    check_bijection(perm, space.num_points(field, n))
     q = field.q
     shift = space.point_of_index(field, n, perm[0])
     neg_shift = tuple(field.neg(c) for c in shift)
@@ -407,34 +396,30 @@ def recognize_semiaffine(field: Field, n: int, perm,
     return None
 
 
-def _preserves(relation, field: Field, n: int, perm, max_points) -> bool:
-    """Whether perm preserves relation(field, n, max_points) in both directions."""
-    total = space.check_size(field, n, max_points)
-    check_bijection(perm, total)
-    rel = relation(field, n, max_points)
+def _preserves(relation, field: Field, n: int, perm) -> bool:
+    """Whether perm preserves relation(field, n) in both directions."""
+    check_bijection(perm, space.num_points(field, n))
+    rel = relation(field, n)
     return bool(batch_preserves(np.asarray([perm]), rel)[0])
 
 
-def preserves_integral(field: Field, n: int, perm,
-                       max_points: int = DEFAULT_MAX_POINTS) -> bool:
+def preserves_integral(field: Field, n: int, perm) -> bool:
     """Whether the integral-distance relation is preserved in both directions."""
-    return _preserves(space.integral_matrix, field, n, perm, max_points)
+    return _preserves(space.integral_matrix, field, n, perm)
 
 
-def satisfies_zero_iff(field: Field, n: int, perm,
-                       max_points: int = DEFAULT_MAX_POINTS) -> bool:
+def satisfies_zero_iff(field: Field, n: int, perm) -> bool:
     """Whether distance zero is preserved in both directions over all pairs."""
-    return _preserves(space.zero_distance_matrix, field, n, perm, max_points)
+    return _preserves(space.zero_distance_matrix, field, n, perm)
 
 
 @functools.lru_cache(maxsize=space.CACHE_SIZE)
 def _cone_index_sets(field: Field, n: int) -> tuple:
-    zero = space.zero_distance_matrix(field, n, space.num_points(field, n))
+    zero = space.zero_distance_matrix(field, n)
     return tuple(frozenset(np.flatnonzero(row).tolist()) for row in zero)
 
 
-def preserves_cones(field: Field, n: int, perm,
-                    max_points: int = DEFAULT_MAX_POINTS) -> bool:
+def preserves_cones(field: Field, n: int, perm) -> bool:
     """Whether the image of every cone is the cone of the image vertex.
 
     Logically equivalent to satisfies_zero_iff, but checked as images of
@@ -443,7 +428,7 @@ def preserves_cones(field: Field, n: int, perm,
     squared distance zero from it, is read off its row of
     space.zero_distance_matrix.
     """
-    total = space.check_size(field, n, max_points)
+    total = space.num_points(field, n)
     check_bijection(perm, total)
     cones = _cone_index_sets(field, n)
     for vertex in range(total):

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from intaut import (Field, InternalInconsistencyError, cli, graph,
+from intaut import (Field, InternalInconsistencyError, cli, graph, orbits,
                     identity_perm, to_permutation, write_permutation_file)
 from intaut.transform import SemiaffineMap, enumerate_orthogonal
 
@@ -157,6 +157,14 @@ def test_verify_internal_error_exits_3(monkeypatch, capsys, fake, name):
     assert cli.main(["verify", "--p", "3", "--n", "2"]) == cli.INTERNAL_ERROR == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and name in err
+
+
+def test_verify_refuses_bulk_bound_before_relation_work(monkeypatch, capsys):
+    # 3^8 passes --max-points but not the distance matrix's bulk bound
+    monkeypatch.setattr(orbits, "m_generators", _crash)
+    assert cli.main(["verify", "--p", "3", "--n", "8"]) == cli.USAGE_ERROR
+    assert capsys.readouterr() == (
+        "", "error: pairwise table with 6561^2 entries exceeds the bulk bound\n")
 
 
 # -- recognize -------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intaut import Field, TooLargeError
+from intaut import Field, TooLargeError, graph
 from intaut.graph import (Verdict, automorphism_group, build_integral_graph,
                           complement_graph, dimacs_text, expected_verdict,
                           flip_edge, graph6_bytes, parse_dimacs, parse_graph6,
@@ -52,11 +52,6 @@ def test_translations_are_automorphisms(f3, graph33):
         perm = np.array(
             to_permutation(f3, 3, SemiaffineMap(1, 0, mat_identity(3), b)))
         assert (adj[perm][:, perm] == adj).all()
-
-
-def test_size_guard(f3):
-    with pytest.raises(TooLargeError):
-        build_integral_graph(f3, 3, max_points=10)
 
 
 # -- refinement -----------------------------------------------------------------
@@ -142,9 +137,10 @@ def test_complement_has_same_group(graph33, aut33):
     assert comp.order == aut33.order
 
 
-def test_vertex_guard():
+def test_vertex_guard(monkeypatch):
+    monkeypatch.setattr(graph, "MAX_AUT_VERTICES", 10)
     with pytest.raises(TooLargeError):
-        automorphism_group(complete(20), max_vertices=10)
+        automorphism_group(complete(20))
 
 
 def brute_force_aut_order(adj):

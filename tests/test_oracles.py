@@ -118,7 +118,7 @@ def set_partition(cells):
 def orbital_connected_oracle(field, n, sphere_class):
     """Breadth-first search with one scalar vector addition per step."""
     total = space.num_points(field, n)
-    classes = space.class_of_point(field, n, total)
+    classes = space.class_of_point(field, n)
     steps = [space.point_of_index(field, n, k)
              for k in range(total) if classes[k] is sphere_class]
     if not steps:
@@ -295,10 +295,9 @@ def test_orbital_connected_matches_oracle(p, h, n):
 
 def fake_classes(monkeypatch, members):
     """Make SQUARE the class of exactly the given point indices."""
-    def class_of_point(field, n, max_points=space.DEFAULT_MAX_POINTS):
-        total = space.check_size(field, n, max_points)
+    def class_of_point(field, n):
         return tuple(SphereClass.SQUARE if k in members else SphereClass.NONSQUARE
-                     for k in range(total))
+                     for k in range(space.num_points(field, n)))
     monkeypatch.setattr(space, "class_of_point", class_of_point)
 
 
@@ -702,7 +701,7 @@ def seeded_field(p, h, seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_distance_matrix_matches_oracle(p, h, n, seed):
     field = seeded_field(p, h, seed)
-    got = space._distance_matrix(field, n)
+    got = space.distance_matrix(field, n)
     want = distance_matrix_oracle(field, n)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert not got.flags.writeable
@@ -760,7 +759,7 @@ def m_generators_oracle(field, n):
     scalar_matrix = tuple(tuple(rho if i == j else 0 for j in range(n))
                           for i in range(n))
     gens = [map_permutation_array_oracle(field, n, 1, 0, scalar_matrix, (0,) * n)]
-    classes = space.class_of_point(field, n, total)
+    classes = space.class_of_point(field, n)
     seen = set()
     for k in range(1, total):
         if classes[k] in (SphereClass.ORIGIN, SphereClass.ISOTROPIC):

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from intaut import Field, TooLargeError, build_integral_graph, space, transform
-from intaut.space import (CACHE_SIZE, DEFAULT_MAX_POINTS, SphereClass,
+from intaut import Field, build_integral_graph, space, transform
+from intaut.space import (CACHE_SIZE, SphereClass,
                           canonical_index, class_of_point, classify, distance,
                           distance_matrix, enumerate_points, is_integral, norm,
                           point_matrix, point_of_index, sphere_counts_enumerated,
@@ -36,8 +36,9 @@ def test_index_round_trip_exhaustive(f3, f9):
 
 
 def test_enumerate_points_matches_index_order(f9):
-    pts = enumerate_points(f9, 2)
-    assert pts == [point_of_index(f9, 2, k) for k in range(81)]
+    for n in (0, 1, 2):
+        pts = enumerate_points(f9, n)
+        assert pts == [point_of_index(f9, n, k) for k in range(9 ** n)]
 
 
 def test_index_out_of_range(f3):
@@ -133,11 +134,6 @@ def test_isotropic_class_nonempty_for_n_at_least_three(p, h, n):
     assert sphere_counts_formula(Field(p, h), n).isotropic > 0
 
 
-def test_enumeration_size_guard(f3):
-    with pytest.raises(TooLargeError):
-        sphere_counts_enumerated(f3, 3, max_points=10)
-
-
 # -- cones -------------------------------------------------------------------
 
 def test_cone_plane_is_a_single_vertex(f3):
@@ -176,9 +172,9 @@ def test_class_of_point_matches_classify(p, h, n):
 
 def test_cached_arrays_are_read_only_with_one_entry():
     f = Field(3)
-    dm = distance_matrix(f, 2, DEFAULT_MAX_POINTS)
+    dm = distance_matrix(f, 2)
     assert dm is distance_matrix(f, 2)
-    assert class_of_point(f, 2) is class_of_point(f, 2, DEFAULT_MAX_POINTS)
+    assert class_of_point(f, 2) is class_of_point(f, 2)
     for arr in (dm, point_matrix(f, 2)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -191,7 +187,7 @@ def test_caches_keep_at_most_cache_size_entries():
     bulk cache at CACHE_SIZE entries; an evicted entry is rebuilt equal."""
     keys = [(Field(p), n) for p in (3, 5, 7, 11) for n in (1, 2, 3) if p ** n <= 400]
     assert len(keys) > CACHE_SIZE
-    cached = (space.point_matrix, space._distance_matrix, space._class_of_point,
+    cached = (space.point_matrix, space.distance_matrix, space.class_of_point,
               transform._cone_index_sets)
     first = [f(*keys[0]) for f in cached]
     for key in keys:

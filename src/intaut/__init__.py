@@ -22,8 +22,7 @@ from .transform import (SemiaffineMap, identity_map, normalize_map, apply_map,
                         read_permutation_file, write_permutation_file)
 from .orbits import (OrbitDecomposition, OrbitalStatus, orbits_under,
                      classify_partition, m_orbits, stabilizer_orbits,
-                     orbital_connected, orbital_neighbors,
-                     close_permutation_group)
+                     orbital_connected, close_permutation_group)
 from .graph import (IntegralGraph, AutGroupResult, ClassificationReport,
                     Verdict, build_integral_graph, complement_graph, flip_edge,
                     refine_coloring, automorphism_group, verify_classification,

@@ -79,15 +79,17 @@ def _common_flags(sub, with_n=True):
         sub.add_argument("--n", type=int, required=True, help="space dimension")
     sub.add_argument("--modulus", type=str, default=None,
                      help="modulus coefficients, constant term first, e.g. 1,0,1")
-    sub.add_argument("--max-points", type=int, default=space.DEFAULT_MAX_POINTS,
-                     help="enumeration bound on q^n")
+    if with_n:   # field-info has no q^n to bound
+        sub.add_argument("--max-points", type=int,
+                         default=space.DEFAULT_MAX_POINTS,
+                         help="enumeration bound on q^n")
     sub.add_argument("--output", choices=("text", "tsv"), default="text")
 
 
-def _validate_common(args, min_n=None):
+def _validate_common(args, min_n):
     if args.max_points < 1:
         raise ConfigError("--max-points must be >= 1")
-    if min_n is not None and getattr(args, "n", None) is not None and args.n < min_n:
+    if args.n < min_n:
         raise ConfigError(f"--n must be >= {min_n} for this subcommand")
 
 
@@ -96,7 +98,6 @@ def _validate_common(args, min_n=None):
 # ---------------------------------------------------------------------------
 
 def cmd_field_info(args) -> int:
-    _validate_common(args)
     field = _build_field(args)
     rep = Reporter(args.output)
     rep.emit("p", field.p)
@@ -159,10 +160,12 @@ def cmd_verify(args) -> int:
     rep.emit("sphere_match", sphere_ok)
     gates.append(sphere_ok)
 
-    # the graph holds the bulk bound: refuse before the relation-side work
+    # the graph holds the bulk bound and the search its vertex bound: refuse
+    # before the relation-side work
     g = graphmod.build_integral_graph(field, n)
     if args.corrupt:
         g = graphmod.flip_edge(g, 0, 1)
+    report = graphmod.verify_classification(field, n, graph=g)
 
     morb = orbitsmod.m_orbits(field, n)
     part = orbitsmod.classify_partition(field, n)
@@ -176,7 +179,6 @@ def cmd_verify(args) -> int:
 
     if args.corrupt:
         rep.emit("corrupted", True)
-    report = graphmod.verify_classification(field, n, graph=g)
     rep.emit("aut_order", report.aut_order)
     rep.emit("semiaffine_order", report.semiaffine_order)
     rep.emit("containment", report.containment_ok)

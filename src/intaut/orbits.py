@@ -94,13 +94,18 @@ def m_generators(field: Field, n: int) -> list:
     A class is represented by its point with leading coordinate 1, and the
     classes come in the order of their least point index.  All reflection
     matrices I - (2 / <v,v>) v v^T are formed at once and mapped to
-    permutations in one batch.
+    permutations in one batch.  When the q^n images of every generator would
+    exceed space.MAX_BULK_ENTRIES it raises TooLargeError instead.
     """
     total = space.num_points(field, n)
     tb = field.tables
     points = space.point_matrix(field, n)
     norms = space._norm_array(field, n)
     ks = np.flatnonzero(norms)                       # the anisotropic points
+    count = ks.size // (field.q - 1) + 1             # classes and the scalar
+    if count * total > space.MAX_BULK_ENTRIES:
+        raise TooLargeError(
+            f"{count} generators on {total} points exceed the bulk bound")
     pts = points[ks]
     lead = pts[np.arange(ks.size), (pts != 0).argmax(axis=1)]
     unit = tb.mul[tb.inv[lead][:, None], pts] @ field.q ** np.arange(n)
@@ -168,32 +173,16 @@ class OrbitalStatus(enum.Enum):
     DEGENERATE = "degenerate"      # empty step class
 
 
-def orbital_neighbors(field: Field, n: int, sphere_class: SphereClass,
-                      index: int) -> tuple:
-    """Out-neighbors x + y of the vertex x, over all y in the step class;
-    out-degree therefore equals the class cardinality."""
-    if sphere_class is SphereClass.ORIGIN:
-        raise ValueError("step class must be one of the nonzero classes")
-    total = space.num_points(field, n)
-    classes = space.class_of_point(field, n)
-    x = space.point_of_index(field, n, index)
-    out = []
-    for k in range(total):
-        if classes[k] is sphere_class:
-            y = space.point_of_index(field, n, k)
-            out.append(space.canonical_index(field, space.vec_add(field, x, y)))
-    return tuple(out)
-
-
 def orbital_connected(field: Field, n: int,
                       sphere_class: SphereClass) -> OrbitalStatus:
     """Connectivity of the graph with steps x -> x + y over y in the class.
 
-    The step set is closed under negation (squaring kills the sign), which is
-    verified rather than assumed, so directed and undirected connectivity
-    agree and a breadth-first search settles the question.  The search runs
-    on point indices, one frontier level at a time: each level adds every
-    step to every frontier point with one gather per coordinate.
+    A finite Cayley graph is connected iff its steps generate the group, and
+    in the elementary abelian p-group GF(p)^(n h) that is their GF(p)-span.
+    The base-p digits of a point index are its n h coordinates over GF(p),
+    so the graph is connected iff the digit matrix of the steps has rank n h
+    mod p.  The step set is closed under negation (squaring kills the sign),
+    which is verified rather than assumed.
     """
     if sphere_class is SphereClass.ORIGIN:
         raise ValueError("connectivity is defined for the nonzero classes only")
@@ -209,18 +198,20 @@ def orbital_connected(field: Field, n: int,
     negated = np.sort(tb.neg[pts[steps]] @ weights)
     if not np.array_equal(negated, steps):
         raise InternalInconsistencyError("step class is not symmetric")
-    seen = np.zeros(total, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size:
-        reached = sum(tb.add[pts[frontier, j][:, None], pts[steps, j]] * weights[j]
-                      for j in range(n))
-        fresh = np.zeros(total, dtype=bool)
-        fresh[reached.ravel()] = True
-        fresh &= ~seen
-        seen |= fresh
-        frontier = np.flatnonzero(fresh)
-    return OrbitalStatus.CONNECTED if seen.all() else OrbitalStatus.DISCONNECTED
+    p, dim = field.p, n * field.h
+    rows = steps[:, None] // p ** np.arange(dim) % p
+    rank = 0
+    for col in range(dim):
+        nonzero = rank + np.flatnonzero(rows[rank:, col])
+        if not nonzero.size:
+            continue
+        rows[[rank, nonzero[0]]] = rows[[nonzero[0], rank]]
+        pivot = rows[rank] = rows[rank] * pow(int(rows[rank, col]), -1, p) % p
+        below = rows[rank + 1:]
+        below -= below[:, col, None] * pivot
+        below %= p
+        rank += 1
+    return OrbitalStatus.CONNECTED if rank == dim else OrbitalStatus.DISCONNECTED
 
 
 def close_group_array(generators, size: int, *,

@@ -18,6 +18,8 @@ from .field import Field
 
 # the CLI's default --max-points; library functions take no such bound
 DEFAULT_MAX_POINTS = 100_000
+# entries a bulk table may hold: the distance matrix, the reflection images
+MAX_BULK_ENTRIES = 4_000_000
 # (field, n) pairs whose bulk tables stay cached; the least recently used go
 CACHE_SIZE = 8
 
@@ -191,9 +193,9 @@ def _norm_array(field: Field, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def distance_matrix(field: Field, n: int) -> np.ndarray:
     """q^n x q^n array of squared distances between all point pairs: entry
-    (u, v) is the norm of x_u - x_v, read off _norm_array.  Over 4,000,000
-    entries it raises TooLargeError; lru_cache caches no raise, so the bound
-    holds on every call.
+    (u, v) is the norm of x_u - x_v, read off _norm_array.  Over
+    MAX_BULK_ENTRIES entries it raises TooLargeError; lru_cache caches no
+    raise, so the bound holds on every call.
 
     The index of x_u - x_v is sum_j (u_j - v_j) q^j.  With the point indices
     reshaped to n digit axes each (coordinate j on axis n-1-j), the term of
@@ -203,7 +205,7 @@ def distance_matrix(field: Field, n: int) -> np.ndarray:
     tb = field.tables
     q = field.q
     total = q ** n
-    if total * total > 4_000_000:
+    if total * total > MAX_BULK_ENTRIES:
         raise TooLargeError(
             f"pairwise table with {total}^2 entries exceeds the bulk bound")
     sub = tb.add[:, tb.neg]                        # sub[a, b] = a - b

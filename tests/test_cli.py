@@ -53,6 +53,13 @@ def test_explicit_modulus_accepted():
     assert tsv_dict(res.stdout)["modulus"] == "x^2 + 2x + 2"
 
 
+def test_field_info_takes_no_max_points():
+    # field-info has no q^n to bound
+    res = run_cli("field-info", "--p", "3", "--max-points", "5")
+    assert res.returncode == 2
+    assert "unrecognized arguments: --max-points 5" in res.stderr
+
+
 def test_bad_modulus_exits_2():
     res = run_cli("field-info", "--p", "3", "--h", "2", "--modulus", "1,1")
     assert res.returncode == 2
@@ -165,6 +172,14 @@ def test_verify_refuses_bulk_bound_before_relation_work(monkeypatch, capsys):
     assert cli.main(["verify", "--p", "3", "--n", "8"]) == cli.USAGE_ERROR
     assert capsys.readouterr() == (
         "", "error: pairwise table with 6561^2 entries exceeds the bulk bound\n")
+
+
+def test_verify_refuses_search_bound_before_relation_work(monkeypatch, capsys):
+    # 11^3 passes the bulk bound but not the automorphism search's vertex bound
+    monkeypatch.setattr(orbits, "m_generators", _crash)
+    assert cli.main(["verify", "--p", "11", "--n", "3"]) == cli.USAGE_ERROR
+    assert capsys.readouterr() == (
+        "", "error: 1331 vertices exceed the search bound 750\n")
 
 
 # -- recognize -------------------------------------------------------------------

@@ -1,16 +1,17 @@
 """Vectorised fast paths against the scalar code they replaced.
 
-Equitable refinement, the orbital-graph breadth-first search, the cone sets,
-graph6 and DIMACS reading and writing, the distance matrix, the reflection
-generators and the point permutations of maps each have a numpy
-implementation in the library.  The scalar (or earlier numpy) versions are
-kept here as oracles, and both must give the same answers: the same ordered
-cells, the same connectivity verdicts, the same cone sets, the same matrices
-and bytes, the same permutations, and an identical `AutGroupResult` when the
-search runs on the oracle refinement.  The refinement before the "all but
-the largest" fragment rule stays as a second oracle, which must give the
-same set partition where both are the coarsest equitable refinement.
-`cone` and `reflection_matrix` live only here.
+Equitable refinement, orbital-graph connectivity (a rank over GF(p) in the
+library, a breadth-first search here), the cone sets, graph6 and DIMACS
+reading and writing, the distance matrix, the reflection generators and the
+point permutations of maps each have a fast implementation in the library.
+The scalar (or earlier numpy) versions are kept here as oracles, and both
+must give the same answers: the same ordered cells, the same connectivity
+verdicts, the same cone sets, the same matrices and bytes, the same
+permutations, and an identical `AutGroupResult` when the search runs on the
+oracle refinement.  The refinement before the "all but the largest" fragment
+rule stays as a second oracle, which must give the same set partition where
+both are the coarsest equitable refinement.  `cone`, `reflection_matrix`
+and `orbital_neighbors` live only here.
 """
 
 import os
@@ -113,6 +114,22 @@ def refine(adj, cells, worklist=None):
 
 def set_partition(cells):
     return {frozenset(c) for c in cells if c}
+
+
+def orbital_neighbors(field, n, sphere_class, index):
+    """Out-neighbors x + y of the vertex x, over all y in the step class;
+    out-degree therefore equals the class cardinality."""
+    if sphere_class is SphereClass.ORIGIN:
+        raise ValueError("step class must be one of the nonzero classes")
+    total = space.num_points(field, n)
+    classes = space.class_of_point(field, n)
+    x = space.point_of_index(field, n, index)
+    out = []
+    for k in range(total):
+        if classes[k] is sphere_class:
+            y = space.point_of_index(field, n, k)
+            out.append(space.canonical_index(field, space.vec_add(field, x, y)))
+    return tuple(out)
 
 
 def orbital_connected_oracle(field, n, sphere_class):
@@ -308,6 +325,41 @@ def test_orbital_disconnected_when_steps_lie_on_one_axis(monkeypatch):
         is OrbitalStatus.DISCONNECTED
     assert orbital_connected_oracle(field, 2, SphereClass.SQUARE) \
         is OrbitalStatus.DISCONNECTED
+
+
+# (p, h, n): GF(3), GF(5), GF(7), GF(9), GF(25) and GF(27) in dimensions 1 to 3
+ORBITAL_SPACES = [(p, h, n)
+                  for p, h in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3))
+                  for n in (1, 2, 3)]
+
+
+@st.composite
+def symmetric_step_sets(draw, field, n):
+    """A few step indices closed under negation, all GF(p)-rational (every
+    coordinate in the prime field) when the flag drawn with them is set."""
+    rational = field.h > 1 and draw(st.booleans())
+    top = field.p - 1 if rational else field.q - 1
+    coords = st.lists(st.integers(0, top), min_size=n, max_size=n).filter(any)
+    count = draw(st.integers(1, n * field.h + 1))
+    members = set()
+    for x in draw(st.lists(coords, min_size=count, max_size=count)):
+        members.add(space.canonical_index(field, x))
+        members.add(space.canonical_index(field, [field.neg(c) for c in x]))
+    return members, rational
+
+
+@pytest.mark.parametrize("p,h,n", ORBITAL_SPACES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_orbital_connected_matches_oracle_on_random_steps(p, h, n, data):
+    field = Field(p, h)
+    members, rational = data.draw(symmetric_step_sets(field, n))
+    with pytest.MonkeyPatch.context() as mp:
+        fake_classes(mp, members)
+        got = orbits.orbital_connected(field, n, SphereClass.SQUARE)
+        assert got is orbital_connected_oracle(field, n, SphereClass.SQUARE)
+    if rational:
+        assert got is OrbitalStatus.DISCONNECTED
 
 
 def test_orbital_rejects_asymmetric_step_class(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intaut import Field, NotAGroupError
+from intaut import Field, NotAGroupError, TooLargeError, space
 from intaut.orbits import (OrbitalStatus, classify_partition,
                            close_permutation_group, m_generators, m_orbits,
                            orbital_connected, orbits_under, stabilizer_orbits)
@@ -12,7 +12,7 @@ from intaut.space import SphereClass
 from intaut.transform import (SemiaffineMap, enumerate_orthogonal,
                               is_orthogonal, mat_identity, mat_mul,
                               to_permutation)
-from test_oracles import reflection_matrix
+from test_oracles import orbital_neighbors, reflection_matrix
 
 M_GRID = [(3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 2, 2), (5, 1, 2), (5, 1, 3),
           (7, 1, 2), (7, 1, 3)]
@@ -196,6 +196,15 @@ def test_origin_always_singleton(f5):
     assert (0,) in dec.orbits
 
 
+def test_m_generators_refuse_beyond_the_bulk_bound(f3, monkeypatch):
+    # 3^3: nine projective anisotropic classes and the scalar, 27 images each
+    monkeypatch.setattr(space, "MAX_BULK_ENTRIES", 10 * 27)
+    assert len(m_generators(f3, 3)) == 10
+    monkeypatch.setattr(space, "MAX_BULK_ENTRIES", 10 * 27 - 1)
+    with pytest.raises(TooLargeError, match="10 generators on 27 points"):
+        m_generators(f3, 3)
+
+
 # -- stabilizer orbits -----------------------------------------------------------
 
 def test_stabilizer_subdegrees_27(sa33):
@@ -252,7 +261,6 @@ def test_orbital_rejects_origin_class(f3):
 
 
 def test_orbital_out_degree_matches_class_size(f3):
-    from intaut.orbits import orbital_neighbors
     from intaut.space import sphere_counts_formula
     counts = sphere_counts_formula(f3, 3)
     expected = {SphereClass.ISOTROPIC: counts.isotropic,

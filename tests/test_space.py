@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from intaut import Field, build_integral_graph, space, transform
+from intaut.field import least_irreducible
 from intaut.space import (CACHE_SIZE, SphereClass,
                           canonical_index, class_of_point, classify, distance,
                           distance_matrix, enumerate_points, is_integral, norm,
                           point_matrix, point_of_index, sphere_counts_enumerated,
-                          sphere_counts_formula)
+                          sphere_counts_formula, vec_add)
 from test_oracles import cone
 
 # (p, h, n) for every grid instance with q^n <= 20000
@@ -46,6 +47,24 @@ def test_index_out_of_range(f3):
         point_of_index(f3, 3, 27)
     with pytest.raises(ValueError):
         point_of_index(f3, 3, -1)
+
+
+# moduli other than the default least irreducible, so the check does not
+# lean on one choice of polynomial basis
+@pytest.mark.parametrize("p,h,modulus", [(5, 1, (2, 1)), (3, 2, (2, 2, 1)),
+                                         (5, 2, (2, 1, 1)), (3, 3, (2, 1, 1, 1))])
+def test_point_index_digits_are_additive_coordinates(p, h, modulus):
+    """The base-p digits of a point index are its n h coordinates over GF(p),
+    and vector addition adds them digit by digit mod p."""
+    field = Field(p, h, modulus)
+    assert field.modulus != least_irreducible(p, h)
+    n = 3
+    weights = p ** np.arange(n * h)
+    rng = np.random.default_rng(0)
+    for u, v in rng.integers(0, field.q ** n, size=(300, 2)).tolist():
+        x, y = point_of_index(field, n, u), point_of_index(field, n, v)
+        k = canonical_index(field, vec_add(field, x, y))
+        assert np.array_equal(k // weights % p, (u // weights + v // weights) % p)
 
 
 # -- distance ----------------------------------------------------------------

@@ -13,12 +13,24 @@ splitter.  These choices are label-invariant: an automorphism carrying one
 individualization sequence to another carries the refined partitions onto
 each other cell by cell, which is what makes cross-branch comparison by cell
 positions sound.
+
+Label invariance also makes the base path's refinement a script for its
+automorphic images.  While the search builds the path it records a trace
+per individualization: how many splitters did nothing before each one that
+split.  In a branch that is an image of the path under an automorphism the
+same splitters do nothing, so the branch can be refined by replaying the
+trace, with no splitter checked.  For each orbit candidate the search first
+chases the one branch the exhaustive search would descend first and
+replays the traces along it; if the leaf verifies, that branch was an image
+of the path, the replay was exact and the exhaustive search would have
+returned the same automorphism after the same nodes.  Otherwise the
+exhaustive search runs as before, so the result never depends on the
+replay.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +112,8 @@ def _columns(adj: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(adj.T).view(np.uint8)
 
 
-def _refine(cols: np.ndarray, order: np.ndarray, bnd: np.ndarray, splitters):
+def _refine(cols: np.ndarray, order: np.ndarray, bnd: np.ndarray, splitters,
+            record=None, replay=None):
     """Coarsest equitable refinement of the ordered partition (order, bnd).
 
     `order` holds the vertices cell by cell and bnd[i] marks that a cell
@@ -121,49 +134,86 @@ def _refine(cols: np.ndarray, order: np.ndarray, bnd: np.ndarray, splitters):
     with respect to every cell not in `splitters`.  Once every cell is a
     singleton the remaining splitters are dropped.
 
+    The trace of a refinement lists, for every splitter that splits, how
+    many splitters were popped without effect before it.  With `record`, a
+    list, the trace is appended to it.  With `replay`, a trace recorded on
+    another partition, no splitter is checked: each entry drops that many
+    splitters and splits with the next one, and the refinement stops after
+    the last entry (or when the queue runs out).  On the image of the
+    recorded partition and splitters under an automorphism the replay
+    equals the refinement, since a splitter's image splits the image
+    partition exactly where the splitter split the original; elsewhere it
+    is a cheap guess that the caller must check.
+
     The arguments are never written to: a split makes new arrays, so a
     splitter may be a view of an earlier `order`.
     """
-    num = order.size
-    positions = np.arange(num)
-    queue = deque(splitters)
+    queue = list(splitters)
+    head = 0
+    if replay is not None:
+        for idle in replay:
+            head += idle
+            if head >= len(queue):
+                break
+            order, bnd = _split(order, bnd, _counts(cols, queue[head]), queue)
+            head += 1
+        return order, bnd
+    idle = 0
     pairs = np.flatnonzero(~bnd[1:])    # positions p and p + 1 share a cell
     left, right = order[pairs], order[pairs + 1]
-    while queue and pairs.size:
-        splitter = queue.popleft()
-        if len(splitter) == 1:
-            counts = cols[splitter[0]]
-        else:
-            counts = cols[splitter].sum(axis=0)
+    while head < len(queue) and pairs.size:
+        counts = _counts(cols, queue[head])
+        head += 1
         if np.array_equal(counts[left], counts[right]):
+            idle += 1
             continue
-        ordered = counts[order].astype(np.intp)
-        start = np.maximum.accumulate(np.where(bnd, positions, 0))
-        sort = np.argsort(start * (num + 1) + ordered, kind="stable")
-        order, ordered = order[sort], ordered[sort]
-        split = bnd.copy()
-        split[1:] |= ordered[1:] != ordered[:-1]
-        was_split = np.zeros(num, dtype=bool)
-        was_split[start[split & ~bnd]] = True
-        cuts = np.flatnonzero(split)
-        ends = np.append(cuts[1:], num)
-        mine = was_split[start[cuts]]
-        fragments = list(zip(start[cuts[mine]].tolist(), cuts[mine].tolist(),
-                             ends[mine].tolist()))
-        kept = {}       # former cell -> (size, start) of its first largest fragment
-        for cell, a, b in fragments:
-            if b - a > kept.get(cell, (0,))[0]:
-                kept[cell] = b - a, a
-        queue.extend(order[a:b] for cell, a, b in fragments if kept[cell][1] != a)
-        bnd = split
+        if record is not None:
+            record.append(idle)
+        idle = 0
+        order, bnd = _split(order, bnd, counts, queue)
         pairs = np.flatnonzero(~bnd[1:])
         left, right = order[pairs], order[pairs + 1]
     return order, bnd
 
 
-def _individualize(cols, order, bnd, a, b, v):
+def _counts(cols: np.ndarray, splitter) -> np.ndarray:
+    """Arcs from every vertex into the splitter: one row of `cols` for a
+    single vertex, a sum of rows otherwise."""
+    if len(splitter) == 1:
+        return cols[splitter[0]]
+    return cols[splitter].sum(axis=0)
+
+
+def _split(order, bnd, counts, queue):
+    """Split every cell of (order, bnd) by `counts`, fragments in the order
+    of their counts, and append to `queue` every fragment but the first
+    largest of its cell."""
+    num = order.size
+    ordered = counts[order].astype(np.intp)
+    start = np.maximum.accumulate(np.where(bnd, np.arange(num), 0))
+    sort = np.argsort(start * (num + 1) + ordered, kind="stable")
+    order, ordered = order[sort], ordered[sort]
+    split = bnd.copy()
+    split[1:] |= ordered[1:] != ordered[:-1]
+    was_split = np.zeros(num, dtype=bool)
+    was_split[start[split & ~bnd]] = True
+    cuts = np.flatnonzero(split)
+    ends = np.append(cuts[1:], num)
+    mine = was_split[start[cuts]]
+    fragments = list(zip(start[cuts[mine]].tolist(), cuts[mine].tolist(),
+                         ends[mine].tolist()))
+    kept = {}       # former cell -> (size, start) of its first largest fragment
+    for cell, a, b in fragments:
+        if b - a > kept.get(cell, (0,))[0]:
+            kept[cell] = b - a, a
+    queue.extend(order[a:b] for cell, a, b in fragments if kept[cell][1] != a)
+    return order, split
+
+
+def _individualize(cols, order, bnd, a, b, v, record=None, replay=None):
     """Refinement after v, a vertex of the cell order[a:b], is split off in
-    front of the rest of that cell.
+    front of the rest of that cell; `record` and `replay` are passed to
+    `_refine`.
 
     The partition is equitable, hence equitable with respect to the cell, so
     [v] is the only splitter needed.
@@ -172,7 +222,7 @@ def _individualize(cols, order, bnd, a, b, v):
     order = np.concatenate((order[:a], [v], cell[cell != v], order[b:]))
     bnd = bnd.copy()
     bnd[a + 1] = True
-    return _refine(cols, order, bnd, [order[a:a + 1]])
+    return _refine(cols, order, bnd, [order[a:a + 1]], record, replay)
 
 
 def refine_coloring(graph, initial=None):
@@ -232,6 +282,20 @@ def automorphism_group(graph) -> AutGroupResult:
     rejected by comparing cell-start masks; at a leaf the candidate maps
     the path's leaf order onto the branch's, position by position.
 
+    Building the path records each refinement's trace (see `_refine`).
+    Each candidate c is first chased: c, then the least vertex of each
+    later target cell, each refined by replaying the path's trace at that
+    depth, every mask compared with the path's.  If the leaf's candidate
+    verifies, it is an automorphism g fixing base[:level] that maps the
+    path onto the chased branch.  Then every node of the branch is the
+    image under g of the path's node at its depth, the replay there equals
+    the refinement, and the exhaustive search from c descends exactly this
+    branch and returns g at its first leaf.  So the chase returns g and
+    counts the len(base) - level nodes that search would visit; on any
+    other outcome the exhaustive search runs from c.  The order, the
+    generators and the node count are those of the exhaustive search on
+    every graph.
+
     A graph of more than MAX_AUT_VERTICES vertices raises TooLargeError.
     """
     adj = _as_matrix(graph)
@@ -250,17 +314,23 @@ def automorphism_group(graph) -> AutGroupResult:
     path = [(order, bnd)]
     base = []
     targets = []
+    traces = []
     while (cell := _target_cell(bnd)) is not None:
         a, b = cell
         v = int(order[a:b].min())
         base.append(v)
         targets.append(cell)
-        order, bnd = _individualize(cols, order, bnd, a, b, v)
+        traces.append([])
+        order, bnd = _individualize(cols, order, bnd, a, b, v, record=traces[-1])
         path.append((order, bnd))
     leaf_order = order
 
-    def verify(perm: np.ndarray) -> bool:
-        return bool(np.array_equal(np.take(adj[perm], perm, axis=1), adj))
+    def leaf(order):
+        """The permutation mapping the path's leaf onto a discrete `order`
+        position by position, if it is an automorphism."""
+        perm = np.empty(num, dtype=np.int64)
+        perm[leaf_order] = order
+        return perm if np.array_equal(np.take(adj[perm], perm, axis=1), adj) else None
 
     def extend(depth, order, bnd):
         """Search for one automorphism extending the current branch."""
@@ -269,15 +339,28 @@ def automorphism_group(graph) -> AutGroupResult:
         if not np.array_equal(bnd, path[depth][1]):
             return None
         if depth == len(base):
-            perm = np.empty(num, dtype=np.int64)
-            perm[leaf_order] = order
-            return perm if verify(perm) else None
+            return leaf(order)
         a, b = targets[depth]
         for v in np.sort(order[a:b]).tolist():
             result = extend(depth + 1, *_individualize(cols, order, bnd, a, b, v))
             if result is not None:
                 return result
         return None
+
+    def chase(level, c):
+        """The first branch that extend(level + 1, ...) from c descends:
+        c, then the least vertex of each target cell, refined by replaying
+        the path's traces.  Its automorphism if every cell-start mask
+        matches the path's and the leaf verifies, else None."""
+        order, bnd = path[level]
+        for depth in range(level, len(base)):
+            a, b = targets[depth]
+            v = c if depth == level else int(order[a:b].min())
+            order, bnd = _individualize(cols, order, bnd, a, b, v,
+                                        replay=traces[depth])
+            if not np.array_equal(bnd, path[depth + 1][1]):
+                return None
+        return leaf(order)
 
     generators = []
 
@@ -304,7 +387,12 @@ def automorphism_group(graph) -> AutGroupResult:
         for c in np.sort(path[level][0][start:end]).tolist():
             if c in orbit:
                 continue
-            found = extend(level + 1, *_individualize(cols, *path[level], start, end, c))
+            found = chase(level, c)
+            if found is not None:
+                node_count += len(base) - level     # the nodes extend would visit
+            else:
+                found = extend(level + 1, *_individualize(cols, *path[level],
+                                                          start, end, c))
             if found is not None:
                 generators.append(found)
                 orbit = orbit_of(b, level)

@@ -414,28 +414,35 @@ def satisfies_zero_iff(field: Field, n: int, perm) -> bool:
 
 
 @functools.lru_cache(maxsize=space.CACHE_SIZE)
-def _cone_index_sets(field: Field, n: int) -> tuple:
+def _cones(field: Field, n: int) -> np.ndarray:
+    """Read-only matrix whose row v is the cone of vertex v, the points at
+    squared distance zero from it, as ascending point indices.
+
+    Distance zero is invariant under translation, so every cone has as many
+    points as the cone of the origin.
+    """
     zero = space.zero_distance_matrix(field, n)
-    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in zero)
+    sizes = zero.sum(axis=1)
+    if (sizes != sizes[0]).any():
+        raise InternalInconsistencyError("cones of different sizes")
+    cones = np.nonzero(zero)[1].reshape(zero.shape[0], -1)    # row-major
+    cones.setflags(write=False)
+    return cones
 
 
 def preserves_cones(field: Field, n: int, perm) -> bool:
     """Whether the image of every cone is the cone of the image vertex.
 
     Logically equivalent to satisfies_zero_iff, but checked as images of
-    explicit cone sets rather than pair by pair, so the two routes can be
-    checked against each other.  The cone of a vertex, the points at
-    squared distance zero from it, is read off its row of
-    space.zero_distance_matrix.
+    explicit cones rather than pair by pair, so the two routes can be
+    checked against each other.  The cones are the sorted rows of `_cones`,
+    so the image of the cone of v is the cone of perm[v] iff the images of
+    row v, sorted, equal row perm[v].
     """
-    total = space.num_points(field, n)
-    check_bijection(perm, total)
-    cones = _cone_index_sets(field, n)
-    for vertex in range(total):
-        image = {perm[x] for x in cones[vertex]}
-        if image != cones[perm[vertex]]:
-            return False
-    return True
+    check_bijection(perm, space.num_points(field, n))
+    cones = _cones(field, n)
+    perm = np.asarray(perm)
+    return bool(np.array_equal(np.sort(perm[cones], axis=1), cones[perm]))
 
 
 # ---------------------------------------------------------------------------

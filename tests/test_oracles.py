@@ -10,8 +10,11 @@ verdicts, the same cone sets, the same matrices and bytes, the same
 permutations, and an identical `AutGroupResult` when the search runs on the
 oracle refinement.  The refinement before the "all but the largest" fragment
 rule stays as a second oracle, which must give the same set partition where
-both are the coarsest equitable refinement.  `cone`, `reflection_matrix`
-and `orbital_neighbors` live only here.
+both are the coarsest equitable refinement.  The search that replays the
+base path's refinement traces must return the `AutGroupResult` of the
+exhaustive search, and the cone check must agree with one Python set per
+cone.  `cone`, `cone_index_sets`, `preserves_cones_oracle`,
+`reflection_matrix` and `orbital_neighbors` live only here.
 """
 
 import os
@@ -23,14 +26,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import intaut
 from intaut import Field, InternalInconsistencyError, graph, orbits, space, transform
 from intaut.field import is_irreducible
 from intaut.orbits import OrbitalStatus
 from intaut.space import SphereClass
-from intaut.transform import _cone_index_sets
 from test_graph import DIMACS_LIKE, GRAPH6_LIKE, small_graphs
 
 # (p, h, n) of the integral graphs the refinement is compared on
@@ -287,7 +289,8 @@ def test_search_on_oracle_refinement_is_identical(p, h, n, monkeypatch):
     fast = graph.automorphism_group(adj)
     calls = []
 
-    def oracle_refine(cols, order, bnd, splitters):
+    def oracle_refine(cols, order, bnd, splitters, record=None, replay=None):
+        """Records no trace and replays none: every chase is refined exactly."""
         calls.append(len(splitters))
         cells = refine_hopcroft_oracle(cols.T, as_cells(order, bnd),
                                        [list(s) for s in splitters])
@@ -296,6 +299,114 @@ def test_search_on_oracle_refinement_is_identical(p, h, n, monkeypatch):
     monkeypatch.setattr(graph, "_refine", oracle_refine)
     assert graph.automorphism_group(adj) == fast
     assert len(calls) > fast.node_count      # the root and every search node
+
+
+# -- trace replay ---------------------------------------------------------------
+
+def search_without_replay(adj, chase):
+    """graph.automorphism_group with `_refine` ignoring replay: a chase is
+    refined exactly ("exact") or ends at its first node ("miss"), which
+    leaves only the exhaustive search."""
+    real = graph._refine
+
+    def refine(cols, order, bnd, splitters, record=None, replay=None):
+        if replay is not None and chase == "miss":
+            return order, np.zeros_like(bnd)       # no path mask is all False
+        return real(cols, order, bnd, splitters, record)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_refine", refine)
+        return graph.automorphism_group(adj)
+
+
+def check_replay_is_exact(adj):
+    got = graph.automorphism_group(adj)
+    assert got == search_without_replay(adj, "exact")
+    assert got == search_without_replay(adj, "miss")
+
+
+@st.composite
+def graphs_with_copies(draw):
+    """A 0-40 vertex graph or loopless digraph made of one to four copies of
+    a drawn one, relabeled, so that many branches are automorphic."""
+    copies = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 40 // copies))
+    bits = draw(st.binary(min_size=-(-m * m // 8), max_size=-(-m * m // 8)))
+    block = np.unpackbits(np.frombuffer(bits, dtype=np.uint8))[:m * m]
+    block = block.astype(bool).reshape(m, m)
+    np.fill_diagonal(block, False)
+    if not draw(st.booleans()):
+        block = np.triu(block, 1)
+        block |= block.T
+    adj = union(*[block] * copies)
+    inv = np.array(draw(st.permutations(range(adj.shape[0]))), dtype=np.intp)
+    return adj[inv][:, inv]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_copies())
+def test_replay_search_matches_exact_search_on_random_graphs(adj):
+    check_replay_is_exact(adj)
+
+
+def cycle(m):
+    adj = np.zeros((m, m), dtype=bool)
+    adj[np.arange(m), (np.arange(m) + 1) % m] = True
+    return adj | adj.T
+
+
+def union(*blocks):
+    """Disjoint union: block diagonal adjacency."""
+    sizes = [b.shape[0] for b in blocks]
+    adj = np.zeros((sum(sizes), sum(sizes)), dtype=bool)
+    for block, at in zip(blocks, np.cumsum([0] + sizes).tolist()):
+        adj[at:at + block.shape[0], at:at + block.shape[0]] = block
+    return adj
+
+
+def cayley_z4_squared(steps):
+    """Cayley graph on Z_4 x Z_4 with the given symmetric step set."""
+    pts = [(i, j) for i in range(4) for j in range(4)]
+    return np.array([[((x[0] - y[0]) % 4, (x[1] - y[1]) % 4) in steps
+                      for y in pts] for x in pts])
+
+
+ROOK_4 = cayley_z4_squared({(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)})
+SHRIKHANDE = cayley_z4_squared({(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)})
+UNIONS = {f"C{3 * k}+{k}C3": union(cycle(3 * k), *[cycle(3)] * k) for k in (2, 3, 4)}
+UNIONS["shrikhande+rook4"] = union(SHRIKHANDE, ROOK_4)
+
+
+def relabel(adj, seed):
+    inv = np.argsort(np.random.default_rng(seed).permutation(adj.shape[0]))
+    return adj[inv][:, inv]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(UNIONS))
+def test_replay_search_matches_exact_search_on_unions(name, seed):
+    check_replay_is_exact(relabel(UNIONS[name], seed))
+
+
+def test_chase_misses_fall_back_to_the_exhaustive_search(monkeypatch):
+    """A chase starts from a path node with a replay, a fallback from the
+    same node without one; the trace is recorded from every other path
+    node, and the path is built before any chase."""
+    real = graph._individualize
+    path, chases, misses = [], [], []
+
+    def individualize(cols, order, bnd, a, b, v, record=None, replay=None):
+        if record is not None:
+            path.append(order)
+        elif any(order is node for node in path):
+            (misses if replay is None else chases).append(v)
+        return real(cols, order, bnd, a, b, v, record, replay)
+
+    monkeypatch.setattr(graph, "_individualize", individualize)
+    res = graph.automorphism_group(relabel(UNIONS["C6+2C3"], 0))
+    assert (res.order, res.node_count) == (864, 35)
+    assert (len(chases), len(misses)) == (19, 12)
+    assert set(misses) <= set(chases)
 
 
 # -- orbital connectivity -------------------------------------------------------
@@ -348,8 +459,11 @@ def symmetric_step_sets(draw, field, n):
     return members, rational
 
 
+# no shrink phase: shrinking a failure reruns the scalar oracle on up to
+# 27^3 points once per candidate, for minutes
 @pytest.mark.parametrize("p,h,n", ORBITAL_SPACES)
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(data=st.data())
 def test_orbital_connected_matches_oracle_on_random_steps(p, h, n, data):
     field = Field(p, h)
@@ -379,15 +493,52 @@ def cone(field, n, vertex) -> frozenset:
                      if space.distance(field, p, vertex) == 0)
 
 
+def cone_index_sets(field, n):
+    """The cone of every vertex as a set of point indices."""
+    zero = space.zero_distance_matrix(field, n)
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in zero)
+
+
+def preserves_cones_oracle(field, n, perm):
+    """transform.preserves_cones with one Python set per cone."""
+    transform.check_bijection(perm, space.num_points(field, n))
+    cones = cone_index_sets(field, n)
+    return all({perm[x] for x in cones[vertex]} == cones[perm[vertex]]
+               for vertex in range(len(cones)))
+
+
 @pytest.mark.parametrize("p,n", [(3, 3), (5, 3), (7, 3)])
 def test_cone_sets_match_scalar_cones(p, n):
     field = Field(p)
-    cones = _cone_index_sets(field, n)
+    cones = transform._cones(field, n)
     points = space.enumerate_points(field, n)
     assert len(cones) == len(points)
-    for vertex, want in zip(points, cones):
-        assert want == {space.canonical_index(field, x)
-                        for x in cone(field, n, vertex)}
+    assert set(map(frozenset, cones.tolist())) <= set(cone_index_sets(field, n))
+    for vertex, row in zip(points, cones.tolist()):
+        assert row == sorted(space.canonical_index(field, x)
+                             for x in cone(field, n, vertex))
+
+
+# in dimension 3 every cone has more than one point and every automorphism
+# of the integral graph preserves the cones
+@pytest.mark.parametrize("p,h,n", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+def test_preserves_cones_matches_set_oracle(p, h, n):
+    """Random bijections, the engine's generators, and each generator with
+    two images swapped."""
+    field = Field(p, h)
+    total = space.num_points(field, n)
+    rng = np.random.default_rng(p * 100 + h * 10 + n)
+    perms = [tuple(rng.permutation(total).tolist()) for _ in range(20)]
+    aut = graph.automorphism_group(graph.build_integral_graph(field, n))
+    for gen in aut.generators:
+        perms.append(gen)
+        u, v = rng.choice(total, size=2, replace=False).tolist()
+        swapped = list(gen)
+        swapped[u], swapped[v] = swapped[v], swapped[u]
+        perms.append(tuple(swapped))
+    verdicts = [transform.preserves_cones(field, n, perm) for perm in perms]
+    assert verdicts == [preserves_cones_oracle(field, n, perm) for perm in perms]
+    assert any(verdicts) and not all(verdicts)
 
 
 # -- cold start -------------------------------------------------------------------

@@ -207,7 +207,7 @@ def test_caches_keep_at_most_cache_size_entries():
     keys = [(Field(p), n) for p in (3, 5, 7, 11) for n in (1, 2, 3) if p ** n <= 400]
     assert len(keys) > CACHE_SIZE
     cached = (space.point_matrix, space.distance_matrix, space.class_of_point,
-              transform._cone_index_sets)
+              transform._cones)
     first = [f(*keys[0]) for f in cached]
     for key in keys:
         for f in cached:

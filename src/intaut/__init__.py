@@ -21,8 +21,7 @@ from .transform import (SemiaffineMap, identity_map, normalize_map, apply_map,
                         compose_perms, invert_perm, identity_perm,
                         read_permutation_file, write_permutation_file)
 from .orbits import (OrbitDecomposition, OrbitalStatus, orbits_under,
-                     classify_partition, m_orbits, stabilizer_orbits,
-                     orbital_connected, close_permutation_group)
+                     classify_partition, m_orbits, orbital_connected)
 from .graph import (IntegralGraph, AutGroupResult, ClassificationReport,
                     Verdict, build_integral_graph, complement_graph, flip_edge,
                     refine_coloring, automorphism_group, verify_classification,

@@ -270,8 +270,12 @@ def cmd_export(args) -> int:
     except (TooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    with open(args.out, "wb") as fh:
-        fh.write(payload)
+    try:
+        with open(args.out, "wb") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     rep = Reporter(args.output)
     rep.emit("format", args.format)
     rep.emit("vertices", g.num_vertices)

@@ -1,6 +1,5 @@
 """Orbit partitions under permutation generators, the orbit structure of the
-scalar-orthogonal group, point-stabilizer orbits, and orbital-graph
-connectivity."""
+scalar-orthogonal group, and orbital-graph connectivity."""
 
 from __future__ import annotations
 
@@ -9,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistencyError, NotAGroupError, TooLargeError
+from .errors import InternalInconsistencyError, TooLargeError
 from .field import Field
 from . import space, transform
 from .space import SphereClass
@@ -140,33 +139,6 @@ def m_orbits(field: Field, n: int) -> OrbitDecomposition:
     return orbits_under(m_generators(field, n), space.num_points(field, n))
 
 
-def stabilizer_orbits(group, fixed_index: int, *,
-                      verify_closure: bool = False) -> OrbitDecomposition:
-    """Orbits of the subgroup of `group` fixing fixed_index.
-
-    `group` must be an explicit list (or array of rows) of permutations
-    closed under composition; with verify_closure the closure is checked and
-    a violation raises NotAGroupError.
-    """
-    if len(group) == 0:
-        raise ValueError("group must be a nonempty permutation list")
-    size = len(group[0])
-    if not 0 <= fixed_index < size:
-        raise ValueError(f"fixed index {fixed_index} out of range")
-    if verify_closure:
-        members = {tuple(int(x) for x in g) for g in group}
-        if transform.identity_perm(size) not in members:
-            raise NotAGroupError("group does not contain the identity")
-        for f in members:
-            if transform.invert_perm(f) not in members:
-                raise NotAGroupError("group is not closed under inversion")
-            for g in members:
-                if transform.compose_perms(f, g) not in members:
-                    raise NotAGroupError("group is not closed under composition")
-    stab = [g for g in group if g[fixed_index] == fixed_index]
-    return orbits_under(stab, size)
-
-
 class OrbitalStatus(enum.Enum):
     CONNECTED = "connected"
     DISCONNECTED = "disconnected"
@@ -212,45 +184,3 @@ def orbital_connected(field: Field, n: int,
         below %= p
         rank += 1
     return OrbitalStatus.CONNECTED if rank == dim else OrbitalStatus.DISCONNECTED
-
-
-def close_group_array(generators, size: int, *,
-                      limit: int = 2_000_000) -> np.ndarray:
-    """Explicit elements of the generated group, one permutation per row.
-
-    Breadth-first closure under right multiplication with vectorised
-    composition; in a finite group positive words in the generators reach
-    every element, so no inverses are needed.
-    """
-    for g in generators:
-        transform.check_bijection(tuple(g), size)
-    gens = [np.asarray(g, dtype=np.int32) for g in generators]
-    identity = np.arange(size, dtype=np.int32)
-    seen = {identity.tobytes()}
-    elements = [identity]
-    frontier = np.stack([identity])
-    while frontier.shape[0] and gens:
-        new_rows = []
-        for g in gens:
-            composed = frontier[:, g]      # rows f -> f o g
-            for row in composed:
-                key = row.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    new_rows.append(row)
-        if len(seen) > limit:
-            raise TooLargeError(f"group closure exceeded {limit} elements")
-        if not new_rows:
-            break
-        frontier = np.stack(new_rows)
-        elements.extend(new_rows)
-    return np.stack(elements)
-
-
-def close_permutation_group(generators, size: int, *,
-                            limit: int = 2_000_000) -> list:
-    """Element list of the generated group, sorted lexicographically."""
-    arr = close_group_array(generators, size, limit=limit)
-    out = [tuple(row.tolist()) for row in arr]
-    out.sort()
-    return out

@@ -258,6 +258,17 @@ def test_export_graph6_round_trip(tmp_path):
     assert (adj == expected).all()
 
 
+def test_export_to_a_missing_directory_exits_2(tmp_path):
+    out = tmp_path / "missing" / "g.g6"
+    res = run_cli("export", "--p", "3", "--h", "1", "--n", "2",
+                  "--format", "graph6", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+    assert str(out) in res.stderr
+    assert not out.parent.exists()
+
+
 def test_export_too_large_exits_2(tmp_path):
     out = tmp_path / "g.g6"
     res = run_cli("export", "--p", "3", "--h", "1", "--n", "3",

@@ -119,7 +119,7 @@ def test_aut_generators_preserve_edges(graph33, aut33):
 
 
 def test_generated_subgroup_order_divides_total(aut33):
-    from intaut.orbits import close_permutation_group
+    from test_oracles import close_permutation_group
     sub = close_permutation_group(aut33.generators[:1], 27)
     assert aut33.order % len(sub) == 0
 

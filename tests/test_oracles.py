@@ -14,7 +14,9 @@ both are the coarsest equitable refinement.  The search that replays the
 base path's refinement traces must return the `AutGroupResult` of the
 exhaustive search, and the cone check must agree with one Python set per
 cone.  `cone`, `cone_index_sets`, `preserves_cones_oracle`,
-`reflection_matrix` and `orbital_neighbors` live only here.
+`reflection_matrix`, `orbital_neighbors` and the explicit group elements
+(`close_group_array`, `close_permutation_group`, `stabilizer_orbits`) live
+only here.
 """
 
 import os
@@ -26,10 +28,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import intaut
-from intaut import Field, InternalInconsistencyError, graph, orbits, space, transform
+from intaut import (Field, InternalInconsistencyError, NotAGroupError, TooLargeError,
+                    graph, orbits, space, transform)
 from intaut.field import is_irreducible
 from intaut.orbits import OrbitalStatus
 from intaut.space import SphereClass
@@ -409,6 +412,129 @@ def test_chase_misses_fall_back_to_the_exhaustive_search(monkeypatch):
     assert set(misses) <= set(chases)
 
 
+# -- positional replay -----------------------------------------------------------
+
+def split_oracle(order, bnd, counts):
+    """The split with the fragment rule run per fragment in Python: the
+    first largest fragment of each split cell is found through a dict.
+    Returns the new order and mask and the (start, end) of every fragment
+    that is enqueued."""
+    num = order.size
+    ordered = counts[order].astype(np.intp)
+    start = np.maximum.accumulate(np.where(bnd, np.arange(num), 0))
+    sort = np.argsort(start * (num + 1) + ordered, kind="stable")
+    order, ordered = order[sort], ordered[sort]
+    split = bnd.copy()
+    split[1:] |= ordered[1:] != ordered[:-1]
+    was_split = np.zeros(num, dtype=bool)
+    was_split[start[split & ~bnd]] = True
+    cuts = np.flatnonzero(split)
+    ends = np.append(cuts[1:], num)
+    mine = was_split[start[cuts]]
+    fragments = list(zip(start[cuts[mine]].tolist(), cuts[mine].tolist(),
+                         ends[mine].tolist()))
+    kept = {}       # former cell -> (size, start) of its first largest fragment
+    for cell, a, b in fragments:
+        if b - a > kept.get(cell, (0,))[0]:
+            kept[cell] = b - a, a
+    return order, split, [(a, b) for cell, a, b in fragments if kept[cell][1] != a]
+
+
+@st.composite
+def split_cases(draw):
+    """An ordered partition of 1-40 vertices and counts in 0..2, so that many
+    cells split into fragments of tied sizes."""
+    m = draw(st.integers(1, 40))
+    order = np.array(draw(st.permutations(range(m))), dtype=np.intp)
+    bnd = np.array([True] + draw(st.lists(st.booleans(), min_size=m - 1,
+                                          max_size=m - 1)))
+    counts = np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)),
+                      dtype=np.uint16)
+    return order, bnd, counts
+
+
+# a cell of six that splits into three fragments of two, and one of four
+# that splits into two of two
+@example((np.arange(10), np.arange(10) % 6 == 0,
+          np.array([0, 1, 2, 0, 1, 2, 1, 0, 0, 1], dtype=np.uint16)))
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_split_enqueues_the_fragments_of_the_dict_rule(case):
+    order, bnd, counts = case
+    want_order, want_bnd, fragments = split_oracle(order, bnd, counts)
+    queue = []
+    got_order, got_bnd = graph._split(order, bnd, counts, queue, 7)
+    assert np.array_equal(got_order, want_order)
+    assert np.array_equal(got_bnd, want_bnd)
+    assert queue == [(7, a, b) for a, b in fragments]
+    assert np.array_equal(graph._split(order, bnd, counts)[0], want_order)
+
+
+def path_nodes(adj):
+    """The base path of automorphism_group as (order, bnd, a, b, v): each
+    node's partition, its target cell order[a:b] and the vertex split off."""
+    cols = graph._columns(adj)
+    whole = np.arange(adj.shape[0])
+    order, bnd = graph._refine(cols, whole, whole == 0, [whole])
+    nodes = []
+    while (cell := graph._target_cell(bnd)) is not None:
+        a, b = cell
+        v = int(order[a:b].min())
+        nodes.append((order, bnd, a, b, v))
+        order, bnd = graph._individualize(cols, order, bnd, a, b, v)
+    return nodes
+
+
+def check_positional_replay(adj, order, bnd, splitters, sigma):
+    """A trace recorded on (order, bnd) and replayed on it gives the same
+    partition; replayed on the sigma-relabeled graph, partition and
+    splitters, it gives sigma of that partition, position by position."""
+    trace = []
+    cols = graph._columns(adj)
+    want = graph._refine(cols, order, bnd, splitters, record=trace)
+    versions = len(splitters)
+    for version, a, b in trace:
+        assert 0 <= version < versions and 0 <= a < b <= bnd.size
+        versions += 1
+    got = graph._refine(cols, order, bnd, splitters, replay=trace)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    inv = np.argsort(sigma)
+    moved = graph._refine(graph._columns(adj[inv][:, inv]), sigma[order], bnd,
+                          [sigma[s] for s in splitters], replay=trace)
+    assert np.array_equal(moved[0], sigma[want[0]])
+    assert np.array_equal(moved[1], want[1])
+    return trace
+
+
+@pytest.mark.parametrize("adj", [relabeled(3, 1, 3, 5), relabeled(5, 1, 2, 5),
+                                 relabeled(3, 2, 2, 5)] + [
+    relabel(UNIONS[name], 0) for name in sorted(UNIONS)])
+def test_replay_by_positions_on_every_path_node(adj):
+    num = adj.shape[0]
+    sigma = np.random.default_rng(11).permutation(num)
+    whole = np.arange(num)
+    check_positional_replay(adj, whole, whole == 0, [whole], sigma)
+    for order, bnd, a, b, v in path_nodes(adj):
+        cell = order[a:b]
+        order = np.concatenate((order[:a], [v], cell[cell != v], order[b:]))
+        bnd = bnd.copy()
+        bnd[a + 1] = True
+        check_positional_replay(adj, order, bnd, [order[a:a + 1]], sigma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitioned_graphs(directed=True), st.randoms(use_true_random=False))
+def test_replay_by_positions_on_random_partitions(case, rnd):
+    adj, cells, worklist = case
+    num = adj.shape[0]
+    cells = [c for c in cells if c]
+    order, bnd = as_arrays(cells, num)
+    splitters = [np.asarray(s, dtype=np.intp)
+                 for s in (cells if worklist is None else worklist)]
+    sigma = np.array(rnd.sample(range(num), num), dtype=np.intp)
+    check_positional_replay(adj, order, bnd, splitters, sigma)
+
+
 # -- orbital connectivity -------------------------------------------------------
 
 # 27^2 has an empty isotropic class, so DEGENERATE is compared too
@@ -558,14 +684,37 @@ print("numpy.ma" in sys.modules)
 """
 
 
+VERIFY_AND_SEARCH = """
+import contextlib, io, sys
+import numpy as np
+from intaut import Field, cli, graph
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--p", "3", "--n", "3"]) == 0
+adj = graph.build_integral_graph(Field(3), 3).adjacency
+inv = np.argsort(np.random.default_rng(5).permutation(adj.shape[0]))
+assert graph.automorphism_group(adj[inv][:, inv]).order == 1296
+print("numpy.ma" in sys.modules)
+"""
+
+
+def imports_numpy_ma_cold(script):
+    """Whether `script`, run in a fresh interpreter, leaves numpy.ma imported."""
+    src = str(Path(intaut.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip() == "True"
+
+
 def test_hot_paths_do_not_import_numpy_ma():
     """numpy.ma costs about 15 ms on first import, which np.unique triggers;
     the verify and ladder paths must not pull it into a cold process."""
-    src = str(Path(intaut.__file__).resolve().parents[1])
-    res = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": src})
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert not imports_numpy_ma_cold(COLD_START)
+
+
+def test_search_on_a_relabeled_graph_does_not_import_numpy_ma():
+    """The search's orbit masks, splits and replays stay off np.unique."""
+    assert not imports_numpy_ma_cold(VERIFY_AND_SEARCH)
 
 
 # -- DIMACS -----------------------------------------------------------------------
@@ -1010,3 +1159,74 @@ def test_m_generators_match_oracle(p, h, n):
     want = m_generators_oracle(field, n)
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# -- explicit group elements --------------------------------------------------
+
+def stabilizer_orbits(group, fixed_index: int, *,
+                      verify_closure: bool = False) -> orbits.OrbitDecomposition:
+    """Orbits of the subgroup of `group` fixing fixed_index.
+
+    `group` must be an explicit list (or array of rows) of permutations
+    closed under composition; with verify_closure the closure is checked and
+    a violation raises NotAGroupError.
+    """
+    if len(group) == 0:
+        raise ValueError("group must be a nonempty permutation list")
+    size = len(group[0])
+    if not 0 <= fixed_index < size:
+        raise ValueError(f"fixed index {fixed_index} out of range")
+    if verify_closure:
+        members = {tuple(int(x) for x in g) for g in group}
+        if transform.identity_perm(size) not in members:
+            raise NotAGroupError("group does not contain the identity")
+        for f in members:
+            if transform.invert_perm(f) not in members:
+                raise NotAGroupError("group is not closed under inversion")
+            for g in members:
+                if transform.compose_perms(f, g) not in members:
+                    raise NotAGroupError("group is not closed under composition")
+    stab = [g for g in group if g[fixed_index] == fixed_index]
+    return orbits.orbits_under(stab, size)
+
+
+def close_group_array(generators, size: int, *,
+                      limit: int = 2_000_000) -> np.ndarray:
+    """Explicit elements of the generated group, one permutation per row.
+
+    Breadth-first closure under right multiplication with vectorised
+    composition; in a finite group positive words in the generators reach
+    every element, so no inverses are needed.
+    """
+    for g in generators:
+        transform.check_bijection(tuple(g), size)
+    gens = [np.asarray(g, dtype=np.int32) for g in generators]
+    identity = np.arange(size, dtype=np.int32)
+    seen = {identity.tobytes()}
+    elements = [identity]
+    frontier = np.stack([identity])
+    while frontier.shape[0] and gens:
+        new_rows = []
+        for g in gens:
+            composed = frontier[:, g]      # rows f -> f o g
+            for row in composed:
+                key = row.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    new_rows.append(row)
+        if len(seen) > limit:
+            raise TooLargeError(f"group closure exceeded {limit} elements")
+        if not new_rows:
+            break
+        frontier = np.stack(new_rows)
+        elements.extend(new_rows)
+    return np.stack(elements)
+
+
+def close_permutation_group(generators, size: int, *,
+                            limit: int = 2_000_000) -> list:
+    """Element list of the generated group, sorted lexicographically."""
+    arr = close_group_array(generators, size, limit=limit)
+    out = [tuple(row.tolist()) for row in arr]
+    out.sort()
+    return out

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intaut import Field, NotAGroupError, TooLargeError, space
-from intaut.orbits import (OrbitalStatus, classify_partition,
-                           close_permutation_group, m_generators, m_orbits,
-                           orbital_connected, orbits_under, stabilizer_orbits)
+from intaut.orbits import (OrbitalStatus, classify_partition, m_generators,
+                           m_orbits, orbital_connected, orbits_under)
 from intaut.space import SphereClass
 from intaut.transform import (SemiaffineMap, enumerate_orthogonal,
                               is_orthogonal, mat_identity, mat_mul,
                               to_permutation)
-from test_oracles import orbital_neighbors, reflection_matrix
+from test_oracles import (close_permutation_group, orbital_neighbors,
+                          reflection_matrix, stabilizer_orbits)
 
 M_GRID = [(3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 2, 2), (5, 1, 2), (5, 1, 3),
           (7, 1, 2), (7, 1, 3)]

@@ -12,7 +12,10 @@ oracle refinement.  The refinement before the "all but the largest" fragment
 rule stays as a second oracle, which must give the same set partition where
 both are the coarsest equitable refinement.  The search that replays the
 base path's refinement traces must return the `AutGroupResult` of the
-exhaustive search, and the cone check must agree with one Python set per
+exhaustive search; a trace replayed by its splitter positions must give the
+recorded refinement on the same input and its relabeling on a relabeled
+one, and the split must enqueue the fragments that the per-fragment dict
+rule kept here picks.  The cone check must agree with one Python set per
 cone.  `cone`, `cone_index_sets`, `preserves_cones_oracle`,
 `reflection_matrix`, `orbital_neighbors` and the explicit group elements
 (`close_group_array`, `close_permutation_group`, `stabilizer_orbits`) live
@@ -503,7 +506,6 @@ def check_positional_replay(adj, order, bnd, splitters, sigma):
                           [sigma[s] for s in splitters], replay=trace)
     assert np.array_equal(moved[0], sigma[want[0]])
     assert np.array_equal(moved[1], want[1])
-    return trace
 
 
 @pytest.mark.parametrize("adj", [relabeled(3, 1, 3, 5), relabeled(5, 1, 2, 5),

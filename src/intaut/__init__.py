@@ -6,19 +6,15 @@ analysis, and an independent graph-automorphism engine that verifies the
 two group computations against each other.
 """
 
-from .errors import (InternalInconsistencyError, NotABijectionError,
-                     NotAGroupError, TooLargeError)
+from .errors import InternalInconsistencyError, NotABijectionError, TooLargeError
 from .field import Field, make_field, is_irreducible, least_irreducible, poly_str
 from .space import (SphereClass, SphereCounts, DEFAULT_MAX_POINTS,
                     canonical_index, point_of_index, enumerate_points,
                     distance, norm, is_integral, classify,
                     sphere_counts_enumerated, sphere_counts_formula)
-from .transform import (SemiaffineMap, identity_map, normalize_map, apply_map,
-                        to_permutation, enumerate_orthogonal,
-                        orthogonal_bruteforce, is_orthogonal, semiaffine_group,
+from .transform import (SemiaffineMap, normalize_map, to_permutation,
                         recognize_semiaffine, preserves_integral,
                         satisfies_zero_iff, preserves_cones,
-                        compose_perms, invert_perm, identity_perm,
                         read_permutation_file, write_permutation_file)
 from .orbits import (OrbitDecomposition, OrbitalStatus, orbits_under,
                      classify_partition, m_orbits, orbital_connected)

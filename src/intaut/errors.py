@@ -9,9 +9,5 @@ class NotABijectionError(ValueError):
     """A supplied image array is not a permutation of its index range."""
 
 
-class NotAGroupError(ValueError):
-    """A permutation list fails the requested closure verification."""
-
-
 class InternalInconsistencyError(RuntimeError):
     """A self-check inside a search failed; results must not be trusted."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, TooLargeError
 
 # Up to this size the arithmetic tables are built with the field and the
 # scalar operations read them; beyond it the scalar operations use
@@ -313,14 +313,23 @@ class Field:
 
     @property
     def tables(self) -> FieldTables:
-        """The arithmetic tables as read-only numpy arrays, built on first use:
-        add digit-wise in base p, neg from add, the rest from the powers of
-        the primitive element, found and multiplied out by polynomial
-        arithmetic.  The q x q temporaries are int32, to keep them small."""
+        """The arithmetic tables as read-only numpy arrays, built on first use.
+
+        Raises TooLargeError when their q x q arrays cannot be allocated."""
         # not a functools.cached_property: its direct write into the instance
         # dict slows every later attribute read, so every scalar operation
-        if self._tables is not None:
-            return self._tables
+        if self._tables is None:
+            try:
+                self._tables = self._build_tables()
+            except MemoryError:
+                raise TooLargeError(f"the arithmetic tables of GF({self.q}) "
+                                    f"do not fit in memory") from None
+        return self._tables
+
+    def _build_tables(self) -> FieldTables:
+        """add digit-wise in base p, neg from add, the rest from the powers of
+        the primitive element, found and multiplied out by polynomial
+        arithmetic.  The q x q temporaries are int32, to keep them small."""
         q, p = self.q, self.p
         index = np.arange(q, dtype=np.int32)
         add = np.zeros((q, q), dtype=np.int32)
@@ -347,8 +356,7 @@ class Field:
         is_square = log % 2 == 0                         # zero included, by log[0]
         for arr in (add, mul, neg, inv, is_square, frob, square_of):
             arr.setflags(write=False)
-        self._tables = FieldTables(add, mul, neg, inv, is_square, frob, square_of)
-        return self._tables
+        return FieldTables(add, mul, neg, inv, is_square, frob, square_of)
 
     def __eq__(self, other):
         if not isinstance(other, Field):

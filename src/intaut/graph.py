@@ -3,7 +3,11 @@
 The engine knows nothing about fields or the map family: it computes the
 automorphism group of an arbitrary undirected graph by equitable-coloring
 refinement and individualization backtracking, so it serves as an unbiased
-cross-check for the group assembled from map parameters.
+cross-check for the group assembled from map parameters.  It accepts a
+directed adjacency matrix too, and its results stay exact, but refinement
+counts only the arcs from each vertex into a splitter, never the arcs back:
+vertices told apart only by their in-arcs stay in one cell, and the search
+can run for minutes on digraphs of a few dozen vertices.
 
 Colorings are ordered partitions, held as two arrays: the vertices in cell
 order, and a boolean mask marking where each cell starts.  Refinement splits

@@ -125,7 +125,7 @@ def semiaffine_generators(field: Field, n: int) -> list:
     """m_generators, one Frobenius map when h > 1, and the translations by the
     basis vectors, which the scalars carry onto every translation."""
     gens = m_generators(field, n)
-    identity = transform.mat_identity(n)
+    identity = np.eye(n, dtype=np.intp)
     if field.h > 1:
         gens.append(transform.map_permutation_array(
             field, n, 1, 1, identity, (0,) * n))

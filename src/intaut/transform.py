@@ -7,7 +7,10 @@ A map is the tuple (scale, frob, matrix, shift) acting on row vectors as
 with a nonzero scalar, a power of the coordinatewise p-th-power map, a
 matrix satisfying M M^T = I, and a translation vector.  Permutations of the
 point set are stored as tuples of image indices, the common currency of all
-group computations here.
+group computations here.  A map's matrix is a tuple of row tuples of element
+indices, and all arithmetic on it is gathers over `Field.tables`.  Element
+lists of the family and orthogonal-matrix enumeration are test oracles, kept
+out of the library.
 """
 
 from __future__ import annotations
@@ -17,69 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistencyError, NotABijectionError, TooLargeError
+from .errors import InternalInconsistencyError, NotABijectionError
 from .field import Field
 from . import space
-
-# ---------------------------------------------------------------------------
-# matrices (tuples of row tuples of element indices)
-# ---------------------------------------------------------------------------
-
-
-def mat_identity(n: int) -> tuple:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_transpose(A) -> tuple:
-    return tuple(zip(*A))
-
-
-def mat_mul(field: Field, A, B) -> tuple:
-    n, m = len(A), len(B[0])
-    inner = len(B)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = 0
-            for k in range(inner):
-                acc = field.add(acc, field.mul(A[i][k], B[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_neg(field: Field, A) -> tuple:
-    return tuple(tuple(field.neg(x) for x in row) for row in A)
-
-
-def mat_scale(field: Field, c: int, A) -> tuple:
-    return tuple(tuple(field.mul(c, x) for x in row) for row in A)
-
-
-def row_times_matrix(field: Field, x, A) -> tuple:
-    n = len(A[0])
-    out = []
-    for j in range(n):
-        acc = 0
-        for i, xi in enumerate(x):
-            acc = field.add(acc, field.mul(xi, A[i][j]))
-        out.append(acc)
-    return tuple(out)
-
-
-def is_orthogonal(field: Field, A) -> bool:
-    """True iff A @ A^T is the identity."""
-    n = len(A)
-    for i in range(n):
-        for j in range(i, n):
-            acc = 0
-            for k in range(n):
-                acc = field.add(acc, field.mul(A[i][k], A[j][k]))
-            if acc != (1 if i == j else 0):
-                return False
-    return True
-
 
 # ---------------------------------------------------------------------------
 # the map family
@@ -99,25 +42,20 @@ class SemiaffineMap:
     shift: tuple
 
 
-def identity_map(field: Field, n: int) -> SemiaffineMap:
-    return SemiaffineMap(1, 0, mat_identity(n), (0,) * n)
-
-
 def normalize_map(field: Field, m: SemiaffineMap) -> SemiaffineMap:
     """Pick the representative of {(s, M), (-s, -M)} with the smaller scale index."""
     neg_scale = field.neg(m.scale)
-    if neg_scale < m.scale:
-        return SemiaffineMap(neg_scale, m.frob, mat_neg(field, m.matrix), m.shift)
-    return m
+    if neg_scale >= m.scale:
+        return m
+    matrix = np.asarray(m.matrix)
+    if matrix.min() < 0 or matrix.max() >= field.q:
+        raise ValueError(f"matrix entries must lie in [0, {field.q})")
+    return SemiaffineMap(neg_scale, m.frob, _rows(field.tables.neg[matrix]), m.shift)
 
 
-def apply_map(field: Field, m: SemiaffineMap, x) -> tuple:
-    if len(x) != len(m.shift):
-        raise ValueError(f"dimension mismatch: {len(x)} vs {len(m.shift)}")
-    y = tuple(field.frobenius(c, m.frob) for c in x)
-    y = row_times_matrix(field, y, m.matrix)
-    y = tuple(field.mul(m.scale, c) for c in y)
-    return tuple(field.add(a, b) for a, b in zip(y, m.shift))
+def _rows(matrix: np.ndarray) -> tuple:
+    """A 2-d array as a tuple of row tuples of Python ints."""
+    return tuple(map(tuple, matrix.tolist()))
 
 
 def to_permutation(field: Field, n: int, m: SemiaffineMap) -> tuple:
@@ -127,15 +65,6 @@ def to_permutation(field: Field, n: int, m: SemiaffineMap) -> tuple:
     if len(set(perm)) != len(perm):
         raise NotABijectionError("map does not induce a bijection")
     return perm
-
-
-def _encode_points(field: Field, coords: np.ndarray) -> np.ndarray:
-    q = field.q
-    n = coords.shape[1]
-    acc = coords[:, n - 1].astype(np.int64)
-    for j in range(n - 2, -1, -1):
-        acc = acc * q + coords[:, j]
-    return acc.astype(np.int32)
 
 
 def map_permutation_array(field, n, scale, frob, matrix, shift) -> np.ndarray:
@@ -178,130 +107,6 @@ def map_permutation_array(field, n, scale, frob, matrix, shift) -> np.ndarray:
     return out if mats.ndim == 3 else out[0]
 
 
-# ---------------------------------------------------------------------------
-# orthogonal matrix enumeration
-# ---------------------------------------------------------------------------
-
-def unit_sphere(field: Field, n: int) -> list:
-    """All vectors of squared norm one, in canonical index order."""
-    return [p for p in space.enumerate_points(field, n)
-            if space.norm(field, p) == 1]
-
-
-def enumerate_orthogonal(field: Field, n: int, *,
-                         limit: int = 500_000) -> list:
-    """All n x n matrices with M M^T = I, by row-extension backtracking.
-
-    Rows are drawn from the norm-one sphere in ascending point order, each
-    new row orthogonal to all earlier ones, so the output is ordered
-    lexicographically by the row index vectors.
-    """
-    candidates = unit_sphere(field, n)
-    out = []
-
-    def dot(u, v):
-        acc = 0
-        for a, b in zip(u, v):
-            acc = field.add(acc, field.mul(a, b))
-        return acc
-
-    def extend(rows):
-        if len(rows) == n:
-            out.append(tuple(rows))
-            if len(out) > limit:
-                raise TooLargeError(
-                    f"orthogonal enumeration exceeded {limit} matrices")
-            return
-        for v in candidates:
-            if all(dot(v, r) == 0 for r in rows):
-                rows.append(v)
-                extend(rows)
-                rows.pop()
-
-    extend([])
-    return out
-
-
-def orthogonal_bruteforce(field: Field, n: int, *,
-                          limit: int = 20_000_000) -> list:
-    """Independent oracle: scan all q^(n*n) matrices and keep M M^T = I."""
-    q = field.q
-    total = q ** (n * n)
-    if total > limit:
-        raise TooLargeError(f"{total} candidate matrices exceed the scan bound")
-    rows_all = space.enumerate_points(field, n)
-    out = []
-
-    def extend(rows):
-        if len(rows) == n:
-            if is_orthogonal(field, rows):
-                out.append(tuple(rows))
-            return
-        for v in rows_all:
-            rows.append(v)
-            extend(rows)
-            rows.pop()
-
-    extend([])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the full permutation group of the map family
-# ---------------------------------------------------------------------------
-
-def linear_actions(field: Field, n: int) -> list:
-    """Distinct point permutations of the shift-free maps, as numpy rows.
-
-    Parameter tuples (scale, frob, matrix) are deduplicated by action; the
-    expected collision is exactly (s, M) with (-s, -M).
-    """
-    orth = enumerate_orthogonal(field, n)
-    zero = (0,) * n
-    seen = {}
-    for i in range(field.h):
-        for a in range(1, field.q):
-            for A in orth:
-                arr = map_permutation_array(field, n, a, i, A, zero)
-                seen.setdefault(arr.tobytes(), arr)
-    return list(seen.values())
-
-
-def translation_array(field: Field, n: int) -> np.ndarray:
-    """Row b = permutation induced by the translation x -> x + point(b)."""
-    total = space.num_points(field, n)
-    add = field.tables.add
-    pts = space.point_matrix(field, n)
-    cols = []
-    for j in range(n):
-        col = pts[:, j]
-        cols.append(add[col[None, :], col[:, None]])  # [b, k]
-    stacked = np.stack(cols, axis=2).reshape(total * total, n)
-    return _encode_points(field, stacked).reshape(total, total)
-
-
-def semiaffine_group(field: Field, n: int, *,
-                     max_elements: int = 200_000) -> list:
-    """Every point permutation induced by the map family, deduplicated by
-    action and sorted lexicographically."""
-    total = space.num_points(field, n)
-    linear = linear_actions(field, n)
-    if len(linear) * total > max_elements:
-        raise TooLargeError(
-            f"map family has {len(linear) * total} elements, over the bound "
-            f"{max_elements}")
-    trans = translation_array(field, n)
-    blocks = [trans[:, l] for l in linear]     # rows: shift after linear part
-    all_perms = np.concatenate(blocks, axis=0)
-    uniq = np.unique(all_perms, axis=0)
-    if uniq.shape[0] != len(linear) * total:
-        # distinct linear actions stay distinct after composing with every
-        # translation; a collision here means the dedup above was wrong
-        raise InternalInconsistencyError(
-            "unexpected action collision in group assembly")
-    return [tuple(row) for row in uniq.tolist()]
-
-
 def semiaffine_order(field: Field, n: int) -> int:
     """Order of the map family's group, q^n * h * (q - 1) * |O(n, q)| / 2; by
     Witt's theorem |O(n, q)| is the product over k <= n of the norm-one vector
@@ -315,22 +120,6 @@ def semiaffine_order(field: Field, n: int) -> int:
 # ---------------------------------------------------------------------------
 # permutation utilities
 # ---------------------------------------------------------------------------
-
-def identity_perm(size: int) -> tuple:
-    return tuple(range(size))
-
-
-def compose_perms(f, g) -> tuple:
-    """f after g: result[k] = f[g[k]]."""
-    return tuple(f[x] for x in g)
-
-
-def invert_perm(p) -> tuple:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
 
 def check_bijection(perm, size: int):
     if len(perm) != size:
@@ -362,38 +151,37 @@ def recognize_semiaffine(field: Field, n: int, perm):
     """Decompose a point permutation into map parameters, or return None.
 
     The shift is the image of the origin.  After removing it, the images of
-    the basis vectors give a candidate matrix B for each Frobenius exponent
-    (basis vectors are fixed by the p-th-power map); if the whole permutation
-    agrees with x -> frobenius(x) @ B, then B B^T must be a scalar c times
-    the identity and c must be a square a^2, yielding matrix = B / a.
+    the basis vectors give a candidate matrix B, the same for every
+    Frobenius exponent (basis vectors are fixed by the p-th-power map); if
+    the whole permutation agrees with x -> frobenius(x, i) @ B for some i,
+    then B B^T must be a scalar c times the identity and c must be a square
+    a^2, yielding matrix = B / a.  All of it is gathers over the field
+    tables: a point index is sum_i x_i q^i, so its digits are coordinates.
     """
     check_bijection(perm, space.num_points(field, n))
+    tb = field.tables
     q = field.q
-    shift = space.point_of_index(field, n, perm[0])
-    neg_shift = tuple(field.neg(c) for c in shift)
-
+    digits = q ** np.arange(n)
+    perm = np.asarray(perm)
+    shift = perm[0] // digits % q
     # centered[k] = index of (image of point k) - shift
-    trans = map_permutation_array(field, n, 1, 0, mat_identity(n), neg_shift)
-    centered = [int(trans[v]) for v in perm]
-
-    B = tuple(space.point_of_index(field, n, centered[q ** j])
-              for j in range(n))
-    for i in range(field.h):
-        candidate = map_permutation_array(field, n, 1, i, B, (0,) * n)
-        if centered != candidate.tolist():
-            continue
-        prod = mat_mul(field, B, mat_transpose(B))
-        c = prod[0][0]
-        if c == 0 or any(prod[i0][j0] != (c if i0 == j0 else 0)
-                         for i0 in range(n) for j0 in range(n)):
-            continue
-        root = next((a for a in range(1, q) if field.mul(a, a) == c), None)
-        if root is None:
-            continue
-        inv_root = field.inv(root)
-        A = mat_scale(field, inv_root, B)
-        return normalize_map(field, SemiaffineMap(root, i, A, shift))
-    return None
+    centered = map_permutation_array(field, n, 1, 0, np.eye(n, dtype=np.intp),
+                                     tb.neg[shift])[perm]
+    B = centered[digits, None] // digits % q         # row j: image of basis j
+    # one exponent at most matches: B is invertible when the map is a bijection
+    frob = next((i for i in range(field.h) if np.array_equal(
+        map_permutation_array(field, n, 1, i, B, (0,) * n), centered)), None)
+    if frob is None:
+        return None
+    terms = tb.mul[B[:, None, :], B[None, :, :]]     # [i, j, k] = B[i][k] B[j][k]
+    gram = functools.reduce(lambda acc, t: tb.add[acc, t], np.moveaxis(terms, 2, 0))
+    c = gram[0, 0]
+    roots = np.flatnonzero(tb.square_of == c)
+    if c == 0 or not roots.size or not np.array_equal(gram, c * np.eye(n, dtype=int)):
+        return None
+    root = int(roots[0])
+    return normalize_map(field, SemiaffineMap(
+        root, frob, _rows(tb.mul[tb.inv[root], B]), tuple(shift.tolist())))
 
 
 def _preserves(relation, field: Field, n: int, perm) -> bool:

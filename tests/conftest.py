@@ -1,6 +1,7 @@
 import pytest
 
-from intaut import Field, build_integral_graph, automorphism_group, semiaffine_group
+from intaut import Field, build_integral_graph, automorphism_group
+from oracles import semiaffine_group
 
 
 @pytest.fixture(scope="session")

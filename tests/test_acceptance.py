@@ -19,11 +19,12 @@ from intaut.orbits import (OrbitalStatus, classify_partition, m_orbits,
                            orbital_connected)
 from intaut.space import (SphereClass, sphere_counts_enumerated,
                           sphere_counts_formula)
-from intaut.transform import (orthogonal_bruteforce, preserves_cones,
-                              preserves_integral, recognize_semiaffine,
-                              satisfies_zero_iff, to_permutation,
-                              read_permutation_file, write_permutation_file)
-from test_oracles import close_permutation_group, stabilizer_orbits
+from intaut.transform import (preserves_cones, preserves_integral,
+                              recognize_semiaffine, satisfies_zero_iff,
+                              to_permutation, read_permutation_file,
+                              write_permutation_file)
+from oracles import (close_permutation_group, orthogonal_bruteforce,
+                     stabilizer_orbits)
 
 GRID = [(p, h, n)
         for p in (3, 5, 7) for h in (1, 2) for n in (2, 3, 4, 5)

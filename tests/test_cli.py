@@ -1,11 +1,14 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from intaut import (Field, InternalInconsistencyError, cli, graph, orbits,
-                    identity_perm, to_permutation, write_permutation_file)
-from intaut.transform import SemiaffineMap, enumerate_orthogonal
+                    to_permutation, write_permutation_file)
+from intaut import field as fieldmod
+from intaut.transform import SemiaffineMap
+from oracles import enumerate_orthogonal
 
 
 def run_cli(*args):
@@ -22,6 +25,35 @@ def tsv_dict(stdout):
 
 
 # -- field-info ---------------------------------------------------------------
+
+class NoLargeArrays:
+    """numpy, except that np.zeros of more than 10^8 entries fails the way
+    an allocation beyond the machine's memory does."""
+
+    refused = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, dtype=float):
+        if np.prod(shape, dtype=object) > 10 ** 8:
+            self.refused += 1
+            raise MemoryError(f"Unable to allocate an array of shape {shape}")
+        return np.zeros(shape, dtype=dtype)
+
+
+def test_field_tables_beyond_memory_exit_2(monkeypatch, capsys):
+    """Spheres over GF(99991) need 99991 x 99991 tables, about 37 GiB each;
+    a failed allocation is a refusal with one error line, not a crash."""
+    fake = NoLargeArrays()
+    monkeypatch.setattr(fieldmod, "np", fake)
+    assert cli.main(["spheres", "--p", "99991", "--n", "1"]) == cli.USAGE_ERROR
+    assert capsys.readouterr() == (
+        "", "error: the arithmetic tables of GF(99991) do not fit in memory\n")
+    assert fake.refused == 1
+    f = Field(3, 7)                        # q = 2187: tables of 4.8 M entries
+    assert f.tables.add.shape == (2187, 2187) and fake.refused == 1
+
 
 def test_field_info_prime_field():
     res = run_cli("field-info", "--p", "3", "--h", "1", "--output", "tsv")
@@ -186,7 +218,7 @@ def test_verify_refuses_search_bound_before_relation_work(monkeypatch, capsys):
 
 def test_recognize_identity(tmp_path):
     path = tmp_path / "id.txt"
-    write_permutation_file(path, identity_perm(27))
+    write_permutation_file(path, range(27))
     res = run_cli("recognize", "--p", "3", "--h", "1", "--n", "3",
                   "--perm-file", str(path), "--output", "tsv")
     assert res.returncode == 0

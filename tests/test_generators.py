@@ -13,9 +13,9 @@ from intaut import Field, cli
 from intaut.graph import (Verdict, automorphism_group, build_integral_graph,
                           flip_edge, verify_classification)
 from intaut.orbits import semiaffine_generators
-from intaut.transform import (batch_preserves, enumerate_orthogonal,
-                              semiaffine_group, semiaffine_order)
-from test_oracles import close_group_array, stabilizer_orbits
+from intaut.transform import batch_preserves, semiaffine_order
+from oracles import (close_group_array, enumerate_orthogonal, semiaffine_group,
+                     stabilizer_orbits)
 
 # (p, h, n, corrupt)
 INSTANCES = [(3, 1, 2, False), (5, 1, 2, False), (7, 1, 2, False),

@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import hashlib
 
@@ -111,6 +112,32 @@ def test_golden(case, tmp_path):
 
 def test_aut_ladder_golden():
     assert ladder_text() == LADDER_GOLDEN.read_text()
+
+
+PUBLIC_API = [
+    "AutGroupResult", "ClassificationReport", "DEFAULT_MAX_POINTS", "Field",
+    "IntegralGraph", "InternalInconsistencyError", "NotABijectionError",
+    "OrbitDecomposition", "OrbitalStatus", "SemiaffineMap", "SphereClass",
+    "SphereCounts", "TooLargeError", "Verdict", "automorphism_group",
+    "build_integral_graph", "canonical_index", "classify", "classify_partition",
+    "complement_graph", "dimacs_text", "distance", "enumerate_points",
+    "expected_verdict", "flip_edge", "graph6_bytes", "is_integral",
+    "is_irreducible", "least_irreducible", "m_orbits", "make_field", "norm",
+    "normalize_map", "orbital_connected", "orbits_under", "parse_dimacs",
+    "parse_graph6", "point_of_index", "poly_str", "preserves_cones",
+    "preserves_integral", "read_permutation_file", "recognize_semiaffine",
+    "refine_coloring", "satisfies_zero_iff", "sphere_counts_enumerated",
+    "sphere_counts_formula", "to_permutation", "verify_classification",
+    "write_permutation_file",
+]
+
+
+def test_public_api_is_pinned():
+    """The names `intaut` exports, submodules aside; the element-list and
+    brute-force oracles live in tests/oracles.py, not here."""
+    names = sorted(name for name, value in vars(intaut).items()
+                   if not name.startswith("_") and not isinstance(value, ModuleType))
+    assert names == PUBLIC_API
 
 
 if __name__ == "__main__":

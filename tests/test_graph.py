@@ -11,8 +11,8 @@ from intaut.graph import (Verdict, automorphism_group, build_integral_graph,
                           refine_coloring, verify_classification)
 from intaut.orbits import classify_partition
 from intaut.space import sphere_counts_formula
-from intaut.transform import (SemiaffineMap, mat_identity, semiaffine_group,
-                              to_permutation)
+from intaut.transform import SemiaffineMap, to_permutation
+from oracles import enumerate_orthogonal, mat_identity, semiaffine_group
 
 
 def complete(m):
@@ -119,7 +119,7 @@ def test_aut_generators_preserve_edges(graph33, aut33):
 
 
 def test_generated_subgroup_order_divides_total(aut33):
-    from test_oracles import close_permutation_group
+    from oracles import close_permutation_group
     sub = close_permutation_group(aut33.generators[:1], 27)
     assert aut33.order % len(sub) == 0
 
@@ -233,7 +233,6 @@ def test_verify_corrupted_graph_is_violation(f3):
 def test_aut_order_matches_family_formula_at_343_points(f7):
     # the family itself is too large to materialize here, but its order
     # q^n * (q-1) * |O(3,7)| / 2 must equal the engine's count
-    from intaut.transform import enumerate_orthogonal
     g = build_integral_graph(f7, 3)
     res = automorphism_group(g)
     assert res.order == 343 * 6 * len(enumerate_orthogonal(f7, 3)) // 2 == 691488
@@ -242,7 +241,6 @@ def test_aut_order_matches_family_formula_at_343_points(f7):
 def test_aut_order_matches_family_formula_at_729_points(f9):
     # h = 2: the engine must see the extra Frobenius factor of the family,
     # q^n * h * (q-1) * |O(3,9)| / 2
-    from intaut.transform import enumerate_orthogonal
     g = build_integral_graph(f9, 3)
     res = automorphism_group(g)
     orth = len(enumerate_orthogonal(f9, 3))

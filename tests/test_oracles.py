@@ -17,9 +17,8 @@ recorded refinement on the same input and its relabeling on a relabeled
 one, and the split must enqueue the fragments that the per-fragment dict
 rule kept here picks.  The cone check must agree with one Python set per
 cone.  `cone`, `cone_index_sets`, `preserves_cones_oracle`,
-`reflection_matrix`, `orbital_neighbors` and the explicit group elements
-(`close_group_array`, `close_permutation_group`, `stabilizer_orbits`) live
-only here.
+`reflection_matrix` and `orbital_neighbors` live only here; the element
+lists of the map family and of generated groups live in `oracles.py`.
 """
 
 import os
@@ -34,11 +33,11 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 import intaut
-from intaut import (Field, InternalInconsistencyError, NotAGroupError, TooLargeError,
-                    graph, orbits, space, transform)
+from intaut import Field, InternalInconsistencyError, graph, orbits, space, transform
 from intaut.field import is_irreducible
 from intaut.orbits import OrbitalStatus
 from intaut.space import SphereClass
+from oracles import encode_points
 from test_graph import DIMACS_LIKE, GRAPH6_LIKE, small_graphs
 
 # (p, h, n) of the integral graphs the refinement is compared on
@@ -673,7 +672,7 @@ def test_preserves_cones_matches_set_oracle(p, h, n):
 
 COLD_START = """
 import contextlib, io, sys
-from intaut import Field, cli, graph, orbits
+from intaut import Field, cli, graph, orbits, transform
 from intaut.space import SphereClass
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "--p", "3", "--n", "3"]) == 0
@@ -682,6 +681,10 @@ f7 = Field(7)
 for cls in (SphereClass.ISOTROPIC, SphereClass.SQUARE, SphereClass.NONSQUARE):
     orbits.orbital_connected(f7, 3, cls)
 graph.automorphism_group(graph.build_integral_graph(f7, 3))
+swap = list(range(343))
+swap[1], swap[2] = 2, 1
+assert transform.recognize_semiaffine(f7, 3, tuple(range(343))) is not None
+assert transform.recognize_semiaffine(f7, 3, tuple(swap)) is None
 print("numpy.ma" in sys.modules)
 """
 
@@ -1078,7 +1081,7 @@ def map_permutation_array_oracle(field, n, scale, frob, matrix, shift):
         if shift[j] != 0:
             acc = tb.add[acc, shift[j]]
         cols.append(acc)
-    return transform._encode_points(field, np.stack(cols, axis=1))
+    return encode_points(field, np.stack(cols, axis=1))
 
 
 def reflection_matrix(field, v) -> tuple:
@@ -1161,74 +1164,3 @@ def test_m_generators_match_oracle(p, h, n):
     want = m_generators_oracle(field, n)
     assert len(got) == len(want)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-
-# -- explicit group elements --------------------------------------------------
-
-def stabilizer_orbits(group, fixed_index: int, *,
-                      verify_closure: bool = False) -> orbits.OrbitDecomposition:
-    """Orbits of the subgroup of `group` fixing fixed_index.
-
-    `group` must be an explicit list (or array of rows) of permutations
-    closed under composition; with verify_closure the closure is checked and
-    a violation raises NotAGroupError.
-    """
-    if len(group) == 0:
-        raise ValueError("group must be a nonempty permutation list")
-    size = len(group[0])
-    if not 0 <= fixed_index < size:
-        raise ValueError(f"fixed index {fixed_index} out of range")
-    if verify_closure:
-        members = {tuple(int(x) for x in g) for g in group}
-        if transform.identity_perm(size) not in members:
-            raise NotAGroupError("group does not contain the identity")
-        for f in members:
-            if transform.invert_perm(f) not in members:
-                raise NotAGroupError("group is not closed under inversion")
-            for g in members:
-                if transform.compose_perms(f, g) not in members:
-                    raise NotAGroupError("group is not closed under composition")
-    stab = [g for g in group if g[fixed_index] == fixed_index]
-    return orbits.orbits_under(stab, size)
-
-
-def close_group_array(generators, size: int, *,
-                      limit: int = 2_000_000) -> np.ndarray:
-    """Explicit elements of the generated group, one permutation per row.
-
-    Breadth-first closure under right multiplication with vectorised
-    composition; in a finite group positive words in the generators reach
-    every element, so no inverses are needed.
-    """
-    for g in generators:
-        transform.check_bijection(tuple(g), size)
-    gens = [np.asarray(g, dtype=np.int32) for g in generators]
-    identity = np.arange(size, dtype=np.int32)
-    seen = {identity.tobytes()}
-    elements = [identity]
-    frontier = np.stack([identity])
-    while frontier.shape[0] and gens:
-        new_rows = []
-        for g in gens:
-            composed = frontier[:, g]      # rows f -> f o g
-            for row in composed:
-                key = row.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    new_rows.append(row)
-        if len(seen) > limit:
-            raise TooLargeError(f"group closure exceeded {limit} elements")
-        if not new_rows:
-            break
-        frontier = np.stack(new_rows)
-        elements.extend(new_rows)
-    return np.stack(elements)
-
-
-def close_permutation_group(generators, size: int, *,
-                            limit: int = 2_000_000) -> list:
-    """Element list of the generated group, sorted lexicographically."""
-    arr = close_group_array(generators, size, limit=limit)
-    out = [tuple(row.tolist()) for row in arr]
-    out.sort()
-    return out

@@ -4,15 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intaut import Field, NotAGroupError, TooLargeError, space
+from intaut import Field, TooLargeError, space
 from intaut.orbits import (OrbitalStatus, classify_partition, m_generators,
                            m_orbits, orbital_connected, orbits_under)
 from intaut.space import SphereClass
-from intaut.transform import (SemiaffineMap, enumerate_orthogonal,
-                              is_orthogonal, mat_identity, mat_mul,
-                              to_permutation)
-from test_oracles import (close_permutation_group, orbital_neighbors,
-                          reflection_matrix, stabilizer_orbits)
+from intaut.transform import SemiaffineMap, to_permutation
+from oracles import (NotAGroupError, close_permutation_group,
+                     enumerate_orthogonal, is_orthogonal, mat_identity,
+                     stabilizer_orbits)
+from test_oracles import orbital_neighbors, reflection_matrix
+
+
+def mat_mul(field, A, B) -> tuple:
+    """The product of two tuple matrices, by gathers over the field tables."""
+    tb = field.tables
+    terms = tb.mul[np.asarray(A)[:, :, None], np.asarray(B)[None, :, :]]
+    acc = terms[:, 0]
+    for k in range(1, terms.shape[1]):
+        acc = tb.add[acc, terms[:, k]]
+    return tuple(map(tuple, acc.tolist()))
 
 M_GRID = [(3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 2, 2), (5, 1, 2), (5, 1, 3),
           (7, 1, 2), (7, 1, 3)]

@@ -5,21 +5,23 @@ import pytest
 
 from intaut import Field, NotABijectionError
 from intaut.space import canonical_index, point_of_index
-from intaut.transform import (SemiaffineMap, apply_map, compose_perms,
-                              enumerate_orthogonal, identity_map,
-                              identity_perm, invert_perm, is_orthogonal,
-                              map_permutation_array, mat_identity, normalize_map,
-                              orthogonal_bruteforce, preserves_cones,
-                              preserves_integral, read_permutation_file,
-                              recognize_semiaffine, satisfies_zero_iff,
-                              semiaffine_group, to_permutation, unit_sphere,
+from intaut.transform import (SemiaffineMap, map_permutation_array, normalize_map,
+                              preserves_cones, preserves_integral,
+                              read_permutation_file, recognize_semiaffine,
+                              satisfies_zero_iff, to_permutation,
                               write_permutation_file)
+from oracles import (apply_map, enumerate_orthogonal, is_orthogonal, mat_identity,
+                     orthogonal_bruteforce, semiaffine_group, unit_sphere)
+
+
+def identity_map(n):
+    return SemiaffineMap(1, 0, mat_identity(n), (0,) * n)
 
 
 # -- applying maps -----------------------------------------------------------
 
 def test_identity_map_fixes_everything(f3):
-    ident = identity_map(f3, 3)
+    ident = identity_map(3)
     for k in range(27):
         x = point_of_index(f3, 3, k)
         assert apply_map(f3, ident, x) == x
@@ -41,7 +43,7 @@ def test_frobenius_action_on_extension(f9):
 
 def test_apply_dimension_mismatch(f3):
     with pytest.raises(ValueError, match="dimension"):
-        apply_map(f3, identity_map(f3, 3), (0, 0))
+        apply_map(f3, identity_map(3), (0, 0))
 
 
 # -- orthogonal enumeration ---------------------------------------------------
@@ -126,8 +128,8 @@ def test_group_closed_under_composition_and_inverse_exhaustive(sa33):
         composed = f[arr]              # row j = f after g_j
         for row in composed:
             assert row.tobytes() in members
-    for g in sa33:
-        assert bytes(invert_perm(g)) in members
+    for g in arr:
+        assert np.argsort(g).astype(np.uint8).tobytes() in members
 
 
 def test_group_output_sorted_and_deterministic(f3):
@@ -171,8 +173,8 @@ def test_to_permutation_translation_is_fixed_point_free(f3):
     perm = to_permutation(f3, 3, m)
     assert all(perm[k] != k for k in range(27))
     # order of a translation divides p
-    p3 = compose_perms(perm, compose_perms(perm, perm))
-    assert p3 == identity_perm(27)
+    f = np.asarray(perm)
+    assert np.array_equal(f[f[f]], np.arange(27))
 
 
 def test_to_permutation_matches_pointwise_definition(f9):
@@ -223,8 +225,8 @@ def test_normalization_picks_smaller_scale(f3):
 # -- recognition ---------------------------------------------------------------
 
 def test_recognize_identity(f3):
-    m = recognize_semiaffine(f3, 3, identity_perm(27))
-    assert m == identity_map(f3, 3)
+    m = recognize_semiaffine(f3, 3, tuple(range(27)))
+    assert m == identity_map(3)
 
 
 def test_recognize_translation(f3):
@@ -242,11 +244,37 @@ def test_recognize_transposition_fails(f3):
     assert recognize_semiaffine(f3, 3, tuple(swap)) is None
 
 
-def test_recognize_round_trip_whole_plane_group(f3):
-    for perm in semiaffine_group(f3, 2):
-        m = recognize_semiaffine(f3, 2, perm)
+@pytest.mark.parametrize("p,h,n", [(3, 1, 2), (3, 1, 3), (5, 1, 2), (3, 2, 1)],
+                         ids=["3^2", "3^3", "5^2", "9^1"])
+def test_recognize_round_trip_whole_plane_group(p, h, n):
+    """Every element of the family is recognized as a map inducing it, with
+    negated scales normalized, and no element with two images swapped is
+    recognized: a transposition fixes all but two points, which no other
+    element of these families does."""
+    field = Field(p, h)
+    rng = random.Random(p * 100 + h * 10 + n)
+    total = field.q ** n
+    for perm in semiaffine_group(field, n):
+        m = recognize_semiaffine(field, n, perm)
         assert m is not None
-        assert to_permutation(f3, 2, m) == perm
+        assert m == normalize_map(field, m)
+        assert to_permutation(field, n, m) == perm
+        u, v = rng.sample(range(total), 2)
+        swapped = list(perm)
+        swapped[u], swapped[v] = swapped[v], swapped[u]
+        assert recognize_semiaffine(field, n, tuple(swapped)) is None
+
+
+@pytest.mark.parametrize("p,h,frob,B", [
+    (3, 1, 0, ((1, 1), (0, 1))),       # a shear: B B^T is not scalar
+    (3, 1, 0, ((1, 1), (1, 2))),       # B B^T = 2 I, and 2 is not a square
+    (5, 1, 0, ((1, 0), (0, 2))),       # B B^T = diag(1, 4)
+    (3, 2, 1, ((1, 1), (0, 1))),
+])
+def test_recognize_rejects_linear_bijections_outside_the_family(p, h, frob, B):
+    field = Field(p, h)
+    perm = to_permutation(field, 2, SemiaffineMap(1, frob, B, (1, 0)))
+    assert recognize_semiaffine(field, 2, perm) is None
 
 
 def test_recognize_frobenius_maps_on_extension(f9):

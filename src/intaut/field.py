@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InternalInconsistencyError, TooLargeError
 
@@ -30,6 +31,32 @@ def is_prime(m: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _prime_divisors(m: int) -> list:
+    primes = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
+def _mat_pow(m, e, p):
+    """e-th power, e >= 1, over GF(p) of every matrix of the int64 stack m."""
+    out = None
+    while True:
+        if e & 1:
+            out = m if out is None else out @ m % p
+        e >>= 1
+        if not e:
+            return out
+        m = m @ m % p
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +134,7 @@ def is_irreducible(coeffs, p) -> bool:
     f = [c % p for c in coeffs]
     if h == 1:
         return True
-    primes = []
-    k, d = h, 2
-    while d * d <= k:
-        if k % d == 0:
-            primes.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        primes.append(k)
-    for r in primes:
+    for r in _prime_divisors(h):
         g = _psub(_xpow(p ** (h // r), f, p), [0, 1], p)
         if len(_pgcd(f, g, p)) > 1:
             return False
@@ -177,14 +194,17 @@ class Field:
         if modulus is None:
             self.modulus = least_irreducible(p, h)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(int(c) for c in modulus)
+            if not all(0 <= c < p for c in modulus):
+                raise ValueError(
+                    f"modulus coefficients must lie in [0, {p}), got {modulus}")
             if len(modulus) != h + 1 or modulus[-1] != 1:
                 raise ValueError(
                     f"modulus must be monic of degree {h}, got {modulus}")
             if not is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")
             self.modulus = modulus
-        self._tables = None
+        self._tables = self._generator = None
         self._add = self._mul = self._neg = self._inv = self._sq = self._frob = None
         if self.q <= TABLE_LIMIT:
             # scalar operations index lists, several times faster than numpy items
@@ -275,18 +295,42 @@ class Field:
         return a == 0 or self.pow(a, (self.q - 1) // 2) == 1
 
     def primitive_element(self) -> int:
-        """Least element generating the multiplicative group."""
-        target = self.q - 1
-        for g in range(2, self.q):
-            x, order = g, 1
-            while x != 1:
-                x = self.mul(x, g)
-                order += 1
-            if order == target:
-                return g
-        raise InternalInconsistencyError("multiplicative group has no generator")
+        """Least element generating the multiplicative group.
+
+        a generates it iff a^((q-1)/r) != 1 for every prime r dividing q - 1.
+        Candidates are tested 64 at a time, the powers taken as powers of
+        their multiplication matrices.  The result is kept with the field."""
+        if self._generator is None:
+            self._generator = self._least_generator()
+        return self._generator
 
     # -- internals --------------------------------------------------------
+
+    def _least_generator(self) -> int:
+        order = self.q - 1
+        weights = self.p ** np.arange(self.h)
+        for start in range(2, self.q, 64):
+            cands = np.arange(start, min(start + 64, self.q))
+            m = self._times_matrices(cands)
+            ok = np.ones(cands.size, dtype=bool)
+            for r in _prime_divisors(order):
+                # row 0 of the k-th power of a's matrix is a^k's coefficients
+                ok &= _mat_pow(m, order // r, self.p)[:, 0] @ weights != 1
+            if ok.any():
+                return int(cands[ok.argmax()])
+        raise InternalInconsistencyError("multiplicative group has no generator")
+
+    def _times_matrices(self, elements) -> np.ndarray:
+        """Stack of the int64 matrices over GF(p) of x -> a x, one per element
+        a: the coefficient row of x times the matrix of a is that of a x."""
+        p, h = self.p, self.h
+        times_x = np.eye(h, k=1, dtype=np.int64)          # x x^i = x^(i+1), i < h-1,
+        times_x[-1] = [-c % p for c in self.modulus[:h]]  # x x^(h-1) reduced
+        powers = [np.eye(h, dtype=np.int64)]              # powers[i]: matrix of x^i
+        for _ in range(h - 1):
+            powers.append(powers[-1] @ times_x % p)
+        digits = np.asarray(elements, dtype=np.int64)[:, None] // p ** np.arange(h) % p
+        return (digits @ np.reshape(powers, (h, h * h)) % p).reshape(-1, h, h)
 
     def _add_slow(self, a, b):
         self._check(a)
@@ -327,30 +371,53 @@ class Field:
         return self._tables
 
     def _build_tables(self) -> FieldTables:
-        """add digit-wise in base p, neg from add, the rest from the powers of
-        the primitive element, found and multiplied out by polynomial
-        arithmetic.  The q x q temporaries are int32, to keep them small."""
-        q, p = self.q, self.p
-        index = np.arange(q, dtype=np.int32)
+        """Whole-array steps, each about one pass over its output.
+
+        add is built digit by digit, top digit most significant: with s = p^k,
+        the table of k + 1 digits, reshaped to (p, s, p, s), is the top
+        digits' sum mod p times s plus the table of the lower k digits.  Its
+        q x q array comes from np.zeros and is filled in place, so a field
+        too large for memory fails on that first allocation.  The powers of
+        a primitive element g are doubled with the matrix of x -> g x: the
+        rows g^0 .. g^(k-1), times that matrix to the k, are g^k .. g^(2k-1).
+        mul, inv, frob and square_of then gather from the powers by logs;
+        mul, filled block by block of rows, gathers from the powers written
+        twice, so that no log sum needs a modulo.  neg is the row of -1.
+        The q x q arrays are int32, and no q x q temporary is made."""
+        q, p, h = self.q, self.p, self.h
         add = np.zeros((q, q), dtype=np.int32)
-        for k in range(self.h):
-            d = index // p ** k % p
-            add += (d[:, None] + d[None, :]) % p * p ** k
-        neg = add.argmin(axis=1).astype(np.int32)      # the zero in each row
+        digits = np.arange(p, dtype=np.int32)
+        twice = np.concatenate((digits, digits))         # twice[a + b] = (a + b) % p
+        low = np.zeros((1, 1), dtype=np.int32)           # the table of no digits
+        for k in range(h):
+            s = p ** k
+            # top[a, b] = twice[a + b] * s, as a view of p x p strided entries
+            top = as_strided(twice * s, (p, p), twice.strides * 2)
+            high = add if k == h - 1 else np.empty((p * s, p * s), dtype=np.int32)
+            np.add(top[:, None, :, None], low[None, :, None, :],
+                   out=high.reshape(p, s, p, s))
+            low = high
 
         order = q - 1
-        g = self.primitive_element()
-        powers = [1]
-        for _ in range(order - 1):
-            powers.append(self._mul_slow(powers[-1], g))
-        power = np.array(powers, dtype=np.int32)         # power[e] = g^e
+        coeffs = np.zeros((1, h), dtype=np.int64)        # coefficients of g^0 ..
+        coeffs[0, 0] = 1
+        times = self._times_matrices([self.primitive_element()])[0]
+        while len(coeffs) < order:
+            coeffs = np.concatenate((coeffs, coeffs @ times % p))
+            times = times @ times % p
+        power = (coeffs[:order] @ p ** np.arange(h)).astype(np.int32)  # power[e] = g^e
         log = np.zeros(q, dtype=np.int64)                # log[0] = 0: see below
         log[power] = np.arange(order)
         e = log.astype(np.int32)
-        mul = power[(e[:, None] + e[None, :]) % order]
+        cycle = np.concatenate((power, power))           # cycle[e] = g^e, e < 2q - 2
+        mul = np.zeros((q, q), dtype=np.int32)
+        rows = max(1, 2 ** 16 // q)                      # blocks of log sums stay small
+        for r in range(0, q, rows):
+            np.take(cycle, e[r:r + rows, None] + e, out=mul[r:r + rows])
         mul[0, :] = mul[:, 0] = 0
+        neg = mul[p - 1].copy()                          # index p - 1 is -1
         inv = power[-log % order]
-        frob = np.stack([power[log * p ** i % order] for i in range(self.h)])
+        frob = np.stack([power[log * p ** i % order] for i in range(h)])
         square_of = power[2 * log % order]
         inv[0] = frob[:, 0] = square_of[0] = 0
         is_square = log % 2 == 0                         # zero included, by log[0]

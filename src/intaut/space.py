@@ -181,12 +181,15 @@ def point_matrix(field: Field, n: int) -> np.ndarray:
 
 
 def _norm_array(field: Field, n: int) -> np.ndarray:
-    """norms[k] = sum of squared coordinates of point k."""
+    """norms[k] = sum of squared coordinates of point k.
+
+    Coordinate by coordinate, most significant last: the norms of the points
+    with a new top coordinate x are add[x * x] gathered at the norms so far,
+    one row per x, so the rows laid end to end follow the point indices."""
     tb = field.tables
-    pts = point_matrix(field, n)
-    acc = tb.square_of[pts[:, 0]]
-    for j in range(1, n):
-        acc = tb.add[acc, tb.square_of[pts[:, j]]]
+    acc = tb.square_of.copy()
+    for _ in range(n - 1):
+        acc = np.take(tb.add[tb.square_of], acc, axis=1).ravel()
     return acc
 
 

@@ -1,22 +1,82 @@
 """Element lists and brute-force scans that the library checks itself against.
 
 Production works on generators and on gathers over `Field.tables`; the
-helpers here materialize what it never does: maps applied point by point
-with scalar field arithmetic, every orthogonal matrix (by row backtracking
-and by a full scan), every element of the map family, and the explicit
-group closure with its point-stabilizer orbits.  They run only on small
-instances, and import nothing but numpy and intaut, so every test module
-(and conftest) can import them.
+helpers here take the direct routes it does not: field tables built by
+polynomial arithmetic and norms summed over the point matrix, maps applied
+point by point with scalar field arithmetic, every orthogonal matrix (by
+row backtracking and by a full scan), every element of the map family, and
+the explicit group closure with its point-stabilizer orbits.  They run only
+on small instances, and import nothing but numpy and intaut, so every test
+module (and conftest) can import them.
 """
 
 import numpy as np
 
 from intaut import InternalInconsistencyError, TooLargeError, space, transform
+from intaut.field import FieldTables
 from intaut.orbits import OrbitDecomposition, orbits_under
 
 
 class NotAGroupError(ValueError):
     """A permutation list fails the requested closure verification."""
+
+
+# -- field tables and norms by the direct routes ---------------------------------
+
+def primitive_element_oracle(field) -> int:
+    """Least element of multiplicative order q - 1, each candidate's order
+    counted by repeated polynomial multiplication."""
+    for g in range(2, field.q):
+        x, order = g, 1
+        while x != 1:
+            x = field._mul_slow(x, g)
+            order += 1
+        if order == field.q - 1:
+            return g
+    raise InternalInconsistencyError("multiplicative group has no generator")
+
+
+def field_tables_oracle(field) -> FieldTables:
+    """The arithmetic tables built directly: add digit-wise in base p, neg
+    from the zero in each row of add, the rest from the powers of the least
+    primitive element, multiplied out by polynomial arithmetic."""
+    q, p = field.q, field.p
+    index = np.arange(q, dtype=np.int32)
+    add = np.zeros((q, q), dtype=np.int32)
+    for k in range(field.h):
+        d = index // p ** k % p
+        add += (d[:, None] + d[None, :]) % p * p ** k
+    neg = add.argmin(axis=1).astype(np.int32)      # the zero in each row
+
+    order = q - 1
+    g = primitive_element_oracle(field)
+    powers = [1]
+    for _ in range(order - 1):
+        powers.append(field._mul_slow(powers[-1], g))
+    power = np.array(powers, dtype=np.int32)         # power[e] = g^e
+    log = np.zeros(q, dtype=np.int64)                # log[0] = 0: see below
+    log[power] = np.arange(order)
+    e = log.astype(np.int32)
+    mul = power[(e[:, None] + e[None, :]) % order]
+    mul[0, :] = mul[:, 0] = 0
+    inv = power[-log % order]
+    frob = np.stack([power[log * p ** i % order] for i in range(field.h)])
+    square_of = power[2 * log % order]
+    inv[0] = frob[:, 0] = square_of[0] = 0
+    is_square = log % 2 == 0                         # zero included, by log[0]
+    for arr in (add, mul, neg, inv, is_square, frob, square_of):
+        arr.setflags(write=False)
+    return FieldTables(add, mul, neg, inv, is_square, frob, square_of)
+
+
+def norm_array_oracle(field, n: int) -> np.ndarray:
+    """Norm of every point, summed over the columns of the point matrix."""
+    tb = field.tables
+    pts = space.point_matrix(field, n)
+    acc = tb.square_of[pts[:, 0]]
+    for j in range(1, n):
+        acc = tb.add[acc, tb.square_of[pts[:, j]]]
+    return acc
 
 
 # -- small matrices as tuples of row tuples of element indices -------------------

@@ -97,6 +97,13 @@ def test_bad_modulus_exits_2():
     assert res.returncode == 2
 
 
+def test_out_of_range_modulus_exits_2(capsys):
+    argv = ["spheres", "--p", "3", "--h", "2", "--n", "2", "--modulus", "5,4,4"]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert capsys.readouterr() == (
+        "", "error: modulus coefficients must lie in [0, 3), got (5, 4, 4)\n")
+
+
 # -- spheres --------------------------------------------------------------------
 
 def test_spheres_27():

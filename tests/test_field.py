@@ -2,11 +2,13 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from intaut import Field, is_irreducible, least_irreducible, make_field
 from intaut.field import TABLE_LIMIT, poly_str
+from oracles import field_tables_oracle, primitive_element_oracle
 
 SMALL_FIELDS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)]
 
@@ -46,6 +48,13 @@ def test_rejects_reducible_and_wrong_degree_modulus():
         Field(3, 2, [1, 0, 2])
 
 
+@pytest.mark.parametrize("modulus", [(5, 4, 4), (2, -1, 1), (1, 0, 4), (-2, 0, 1)])
+def test_rejects_out_of_range_modulus_coefficients(modulus):
+    # each reduces mod 3 to a monic irreducible, and is still refused
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        Field(3, 2, modulus)
+
+
 def test_make_field_deterministic():
     a, b = make_field(5, 2), make_field(5, 2)
     assert a.modulus == b.modulus
@@ -69,6 +78,7 @@ def test_element_order_and_coeffs(f9):
     assert f9.coeffs(1) == (1, 0)
     assert f9.coeffs(3) == (0, 1)        # the adjoined root sits at index 3
     assert f9.element((0, 1)) == 3
+    assert f9.element((4, -1)) == f9.element((1, 2)) == 7   # entries reduce mod p
     for a in f9.elements():
         assert f9.element(f9.coeffs(a)) == a
 
@@ -299,6 +309,24 @@ def test_tables_match_polynomial_arithmetic_exhaustively(p, h, modulus):
     if modulus is not None:
         assert f.modulus != least_irreducible(p, h)
     _check_tables(f, itertools.product(range(f.q), repeat=2), range(f.q))
+
+
+# the fields above, the four planes of the fields benchmark under their seed-3
+# moduli, and GF(2187)
+TABLE_ORACLE_FIELDS = ORACLE_FIELDS + [(3, 5, (2, 0, 2, 0, 2, 1)), (7, 3, (2, 5, 3, 1)),
+                                       (3, 6, (1, 2, 0, 1, 0, 0, 1)), (31, 2, (13, 8, 1)),
+                                       (3, 7, None)]
+
+
+@pytest.mark.parametrize("p,h,modulus", TABLE_ORACLE_FIELDS)
+def test_tables_equal_the_direct_construction(p, h, modulus):
+    f = Field(p, h, modulus)
+    assert f.primitive_element() == primitive_element_oracle(f)
+    got, want = f.tables, field_tables_oracle(f)
+    for name in (fld.name for fld in dataclasses.fields(want)):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False)
+        assert np.array_equal(a, b), name
 
 
 @pytest.mark.parametrize("p,h", [(3, 6), (31, 2)])

@@ -677,6 +677,9 @@ from intaut.space import SphereClass
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "--p", "3", "--n", "3"]) == 0
     assert cli.main(["verify", "--p", "5", "--n", "2"]) == 0
+    assert cli.main(["spheres", "--p", "31", "--h", "2", "--n", "2",
+                     "--max-points", "923521"]) == 0
+assert Field(3, 6).tables.mul.shape == (729, 729)
 f7 = Field(7)
 for cls in (SphereClass.ISOTROPIC, SphereClass.SQUARE, SphereClass.NONSQUARE):
     orbits.orbital_connected(f7, 3, cls)
@@ -713,7 +716,8 @@ def imports_numpy_ma_cold(script):
 
 def test_hot_paths_do_not_import_numpy_ma():
     """numpy.ma costs about 15 ms on first import, which np.unique triggers;
-    the verify and ladder paths must not pull it into a cold process."""
+    the verify, ladder and field-table paths must not pull it into a cold
+    process."""
     assert not imports_numpy_ma_cold(COLD_START)
 
 

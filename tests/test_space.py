@@ -10,6 +10,7 @@ from intaut.space import (CACHE_SIZE, SphereClass,
                           distance_matrix, enumerate_points, is_integral, norm,
                           point_matrix, point_of_index, sphere_counts_enumerated,
                           sphere_counts_formula, vec_add)
+from oracles import norm_array_oracle
 from test_oracles import cone
 
 # (p, h, n) for every grid instance with q^n <= 20000
@@ -178,6 +179,19 @@ def test_cone_contains_vertex_and_translates(f3):
 def test_norm_agrees_with_distance_from_origin(f9):
     for v in enumerate_points(f9, 2):
         assert norm(f9, v) == distance(f9, v, (0, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p,h,modulus", [(3, 1, None), (7, 1, None), (3, 2, (2, 2, 1)),
+                                         (5, 2, (2, 1, 1)), (3, 3, (1, 0, 2, 1))])
+def test_norm_array_equals_the_point_matrix_route(p, h, modulus, n):
+    f = Field(p, h, modulus)
+    if modulus is not None:
+        assert f.modulus != least_irreducible(p, h)
+    got, want = space._norm_array(f, n), norm_array_oracle(f, n)
+    assert (got.dtype, got.shape, got.flags.writeable) == (
+        want.dtype, want.shape, want.flags.writeable)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("p,h,n", [(3, 1, 3), (5, 1, 2), (3, 2, 2), (7, 1, 3)])

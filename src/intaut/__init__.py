@@ -7,7 +7,7 @@ two group computations against each other.
 """
 
 from .errors import InternalInconsistencyError, NotABijectionError, TooLargeError
-from .field import Field, make_field, is_irreducible, least_irreducible, poly_str
+from .field import Field, is_irreducible, least_irreducible, poly_str
 from .space import (SphereClass, SphereCounts, DEFAULT_MAX_POINTS,
                     canonical_index, point_of_index, enumerate_points,
                     distance, norm, is_integral, classify,

@@ -19,6 +19,8 @@ import argparse
 import sys
 import traceback
 
+import numpy as np
+
 from .errors import InternalInconsistencyError, TooLargeError
 from .field import Field, poly_str
 from . import graph as graphmod
@@ -104,11 +106,11 @@ def cmd_field_info(args) -> int:
     rep.emit("h", field.h)
     rep.emit("q", field.q)
     rep.emit("modulus", poly_str(field.modulus))
-    squares = [a for a in field.elements() if field.is_square(a)]
-    rep.emit("square_count", len(squares))
-    rep.emit("nonsquare_count", field.q - len(squares))
+    squares = np.flatnonzero(field.tables.is_square)
+    rep.emit("square_count", squares.size)
+    rep.emit("nonsquare_count", field.q - squares.size)
     if field.q <= 128:
-        rep.emit("squares", " ".join(map(str, squares)))
+        rep.emit("squares", " ".join(map(str, squares.tolist())))
     rep.flush()
     return 0
 

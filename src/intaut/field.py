@@ -4,7 +4,9 @@ Elements are addressed by their canonical index: the coefficient vector
 (c0, ..., c_{h-1}) of the polynomial-basis representation, constant term
 first, read as a base-p integer.  Index 0 is zero and index 1 is one, so
 tuples of indices can be compared, hashed and packed without further
-bookkeeping.  All operations are pure; a Field is immutable once built.
+bookkeeping.  Every arithmetic operation, scalar or bulk, reads the
+read-only tables of `Field.tables`, built on first use.  All operations are
+pure; a Field is immutable once built.
 """
 
 from __future__ import annotations
@@ -15,11 +17,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import InternalInconsistencyError, TooLargeError
-
-# Up to this size the arithmetic tables are built with the field and the
-# scalar operations read them; beyond it the scalar operations use
-# polynomial arithmetic per call, and the tables are built on first bulk use.
-TABLE_LIMIT = 512
 
 
 def is_prime(m: int) -> bool:
@@ -205,12 +202,6 @@ class Field:
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")
             self.modulus = modulus
         self._tables = self._generator = None
-        self._add = self._mul = self._neg = self._inv = self._sq = self._frob = None
-        if self.q <= TABLE_LIMIT:
-            # scalar operations index lists, several times faster than numpy items
-            t = self.tables
-            (self._add, self._mul, self._neg, self._inv, self._sq, self._frob) = (
-                a.tolist() for a in (t.add, t.mul, t.neg, t.inv, t.is_square, t.frob))
 
     # -- canonical index <-> coefficient vector --------------------------
 
@@ -236,36 +227,33 @@ class Field:
         """All q elements in canonical index order (zero first, one second)."""
         return range(self.q)
 
-    def _check(self, a):
-        if not 0 <= a < self.q:
-            raise ValueError(f"element index {a} out of range for GF({self.q})")
+    def _check(self, *elements):
+        for a in elements:
+            if not 0 <= a < self.q:
+                raise ValueError(f"element index {a} out of range for GF({self.q})")
 
-    # -- arithmetic -------------------------------------------------------
+    # -- arithmetic: one read of the tables, as a Python int or bool --------
 
     def add(self, a: int, b: int) -> int:
-        if self._add is not None and 0 <= a < self.q and 0 <= b < self.q:
-            return self._add[a][b]
-        return self._add_slow(a, b)
+        self._check(a, b)
+        return self.tables.add.item(a, b)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        if self._neg is not None and 0 <= a < self.q:
-            return self._neg[a]
-        return self._mul_slow(a, self.p - 1)
+        self._check(a)
+        return self.tables.neg.item(a)
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is not None and 0 <= a < self.q and 0 <= b < self.q:
-            return self._mul[a][b]
-        return self._mul_slow(a, b)
+        self._check(a, b)
+        return self.tables.mul.item(a, b)
 
     def inv(self, a: int) -> int:
+        self._check(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero in a finite field")
-        if self._inv is not None and 0 < a < self.q:
-            return self._inv[a]
-        return self.pow(a, self.q - 2)
+        return self.tables.inv.item(a)
 
     def pow(self, a: int, e: int) -> int:
         self._check(a)
@@ -284,15 +272,13 @@ class Field:
         """a^(p^i); the i-th power of the field automorphism x -> x^p."""
         if not 0 <= i < self.h:
             raise ValueError(f"Frobenius exponent {i} not in [0, {self.h})")
-        if self._frob is not None and 0 <= a < self.q:
-            return self._frob[i][a]
-        return self.pow(a, self.p ** i)
+        self._check(a)
+        return self.tables.frob.item(i, a)
 
     def is_square(self, a: int) -> bool:
         """True iff a is a square, with zero counted as a square."""
-        if self._sq is not None and 0 <= a < self.q:
-            return self._sq[a]
-        return a == 0 or self.pow(a, (self.q - 1) // 2) == 1
+        self._check(a)
+        return self.tables.is_square.item(a)
 
     def primitive_element(self) -> int:
         """Least element generating the multiplicative group.
@@ -332,29 +318,6 @@ class Field:
         digits = np.asarray(elements, dtype=np.int64)[:, None] // p ** np.arange(h) % p
         return (digits @ np.reshape(powers, (h, h * h)) % p).reshape(-1, h, h)
 
-    def _add_slow(self, a, b):
-        self._check(a)
-        self._check(b)
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.h):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def _mul_slow(self, a, b):
-        self._check(a)
-        self._check(b)
-        fa = _ptrim([(a // self.p ** i) % self.p for i in range(self.h)])
-        fb = _ptrim([(b // self.p ** i) % self.p for i in range(self.h)])
-        fc = _pmod(_pmul(fa, fb, self.p), list(self.modulus), self.p)
-        out = 0
-        for c in reversed(fc):
-            out = out * self.p + c
-        return out
-
     @property
     def tables(self) -> FieldTables:
         """The arithmetic tables as read-only numpy arrays, built on first use.
@@ -385,7 +348,10 @@ class Field:
         twice, so that no log sum needs a modulo.  neg is the row of -1.
         The q x q arrays are int32, and no q x q temporary is made."""
         q, p, h = self.q, self.p, self.h
-        add = np.zeros((q, q), dtype=np.int32)
+        try:
+            add = np.zeros((q, q), dtype=np.int32)
+        except ValueError:   # numpy's "array is too big": beyond the address space
+            raise MemoryError from None
         digits = np.arange(p, dtype=np.int32)
         twice = np.concatenate((digits, digits))         # twice[a + b] = (a + b) % p
         low = np.zeros((1, 1), dtype=np.int32)           # the table of no digits
@@ -452,7 +418,3 @@ def poly_str(coeffs) -> str:
             terms.append(x if c == 1 else f"{c}{x}")
     return " + ".join(terms) if terms else "0"
 
-
-def make_field(p: int, h: int = 1, modulus=None) -> Field:
-    """Construct GF(p^h); alias for the Field constructor."""
-    return Field(p, h, modulus)

@@ -1,10 +1,10 @@
 """Element lists and brute-force scans that the library checks itself against.
 
 Production works on generators and on gathers over `Field.tables`; the
-helpers here take the direct routes it does not: field tables built by
-polynomial arithmetic and norms summed over the point matrix, maps applied
-point by point with scalar field arithmetic, every orthogonal matrix (by
-row backtracking and by a full scan), every element of the map family, and
+helpers here take the direct routes it does not: field arithmetic and
+field tables by polynomial arithmetic, norms summed over the point matrix,
+maps applied point by point with scalar field arithmetic, every orthogonal
+matrix (by row backtracking and by a full scan), every element of the map family, and
 the explicit group closure with its point-stabilizer orbits.  They run only
 on small instances, and import nothing but numpy and intaut, so every test
 module (and conftest) can import them.
@@ -13,7 +13,7 @@ module (and conftest) can import them.
 import numpy as np
 
 from intaut import InternalInconsistencyError, TooLargeError, space, transform
-from intaut.field import FieldTables
+from intaut.field import FieldTables, _pmod, _pmul, _ptrim
 from intaut.orbits import OrbitDecomposition, orbits_under
 
 
@@ -21,7 +21,44 @@ class NotAGroupError(ValueError):
     """A permutation list fails the requested closure verification."""
 
 
-# -- field tables and norms by the direct routes ---------------------------------
+# -- field arithmetic, field tables and norms by the direct routes ---------------
+
+def add_slow(field, a, b):
+    """a + b, digit by digit in base p."""
+    field._check(a, b)
+    p = field.p
+    out, mult = 0, 1
+    for _ in range(field.h):
+        out += ((a + b) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
+def mul_slow(field, a, b):
+    """a * b, as the product of polynomials over GF(p) reduced by the modulus."""
+    field._check(a, b)
+    p, h = field.p, field.h
+    fa = _ptrim([(a // p ** i) % p for i in range(h)])
+    fb = _ptrim([(b // p ** i) % p for i in range(h)])
+    fc = _pmod(_pmul(fa, fb, p), list(field.modulus), p)
+    out = 0
+    for c in reversed(fc):
+        out = out * p + c
+    return out
+
+
+def pow_slow(field, a, e):
+    """a^e by square and multiply over the polynomial product alone."""
+    result, base = 1, a
+    while e:
+        if e & 1:
+            result = mul_slow(field, result, base)
+        base = mul_slow(field, base, base)
+        e >>= 1
+    return result
+
 
 def primitive_element_oracle(field) -> int:
     """Least element of multiplicative order q - 1, each candidate's order
@@ -29,7 +66,7 @@ def primitive_element_oracle(field) -> int:
     for g in range(2, field.q):
         x, order = g, 1
         while x != 1:
-            x = field._mul_slow(x, g)
+            x = mul_slow(field, x, g)
             order += 1
         if order == field.q - 1:
             return g
@@ -52,7 +89,7 @@ def field_tables_oracle(field) -> FieldTables:
     g = primitive_element_oracle(field)
     powers = [1]
     for _ in range(order - 1):
-        powers.append(field._mul_slow(powers[-1], g))
+        powers.append(mul_slow(field, powers[-1], g))
     power = np.array(powers, dtype=np.int32)         # power[e] = g^e
     log = np.zeros(q, dtype=np.int64)                # log[0] = 0: see below
     log[power] = np.arange(order)

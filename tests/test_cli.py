@@ -55,6 +55,18 @@ def test_field_tables_beyond_memory_exit_2(monkeypatch, capsys):
     assert f.tables.add.shape == (2187, 2187) and fake.refused == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["spheres", "--p", "3", "--h", "25", "--n", "1", "--max-points", str(10 ** 15)],
+    ["field-info", "--p", "3", "--h", "25"]])
+def test_field_tables_beyond_the_address_space_exit_2(argv):
+    """The q x q tables of GF(3^25) exceed numpy's largest array size, which
+    np.zeros reports as ValueError("array is too big") before allocating;
+    that too is a refusal with one error line, not a crash."""
+    res = run_cli(*argv)
+    assert (res.returncode, res.stdout, res.stderr) == (
+        2, "", "error: the arithmetic tables of GF(847288609443) do not fit in memory\n")
+
+
 def test_field_info_prime_field():
     res = run_cli("field-info", "--p", "3", "--h", "1", "--output", "tsv")
     assert res.returncode == 0

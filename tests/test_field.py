@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intaut import Field, is_irreducible, least_irreducible, make_field
-from intaut.field import TABLE_LIMIT, poly_str
-from oracles import field_tables_oracle, primitive_element_oracle
+from intaut import Field, is_irreducible, least_irreducible
+from intaut.field import poly_str
+from oracles import (add_slow, field_tables_oracle, mul_slow, pow_slow,
+                     primitive_element_oracle)
 
 SMALL_FIELDS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)]
 
@@ -56,7 +57,7 @@ def test_rejects_out_of_range_modulus_coefficients(modulus):
 
 
 def test_make_field_deterministic():
-    a, b = make_field(5, 2), make_field(5, 2)
+    a, b = Field(5, 2), Field(5, 2)
     assert a.modulus == b.modulus
     assert a == b
 
@@ -135,7 +136,7 @@ OPS = {
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
-@pytest.mark.parametrize("p,h", [(5, 1), (3, 6)])   # tabled, untabled
+@pytest.mark.parametrize("p,h", [(5, 1), (3, 6)])   # a prime field, an extension
 def test_scalar_ops_reject_out_of_range(p, h, op):
     f = Field(p, h)
     for a in (-1, -2, f.q, f.q + 2):
@@ -143,7 +144,7 @@ def test_scalar_ops_reject_out_of_range(p, h, op):
             OPS[op](f, a)
 
 
-# GF(5) and GF(9) are tabled, GF(3^6) and GF(31^2) polynomial
+# prime fields and extensions, with p and h both small and both large
 RANGE_FIELDS = {(p, h): Field(p, h) for p, h in [(5, 1), (3, 2), (3, 6), (31, 2)]}
 BOTH_SIDES = {**OPS, "add-left": lambda f, a: f.add(a, 1),
               "mul-right": lambda f, a: f.mul(1, a)}
@@ -272,30 +273,19 @@ def test_primitive_element(f9, f49):
 
 # -- the arithmetic tables against the polynomial arithmetic ------------------
 
-def _pow_slow(f, a, e):
-    """a^e by square and multiply over the polynomial product alone."""
-    result, base = 1, a
-    while e:
-        if e & 1:
-            result = f._mul_slow(result, base)
-        base = f._mul_slow(base, base)
-        e >>= 1
-    return result
-
-
 def _check_tables(f, pairs, singles):
     t = f.tables
     for a, b in pairs:
-        assert t.add[a, b] == f._add_slow(a, b)
-        assert t.mul[a, b] == f._mul_slow(a, b)
+        assert t.add[a, b] == add_slow(f, a, b)
+        assert t.mul[a, b] == mul_slow(f, a, b)
     for a in singles:
-        assert f._add_slow(a, int(t.neg[a])) == 0
-        assert t.square_of[a] == f._mul_slow(a, a)
-        assert t.is_square[a] == (a == 0 or _pow_slow(f, a, (f.q - 1) // 2) == 1)
-        assert t.frob[:, a].tolist() == [_pow_slow(f, a, f.p ** i)
+        assert add_slow(f, a, int(t.neg[a])) == 0
+        assert t.square_of[a] == mul_slow(f, a, a)
+        assert t.is_square[a] == (a == 0 or pow_slow(f, a, (f.q - 1) // 2) == 1)
+        assert t.frob[:, a].tolist() == [pow_slow(f, a, f.p ** i)
                                          for i in range(f.h)]
         if a:
-            assert t.inv[a] == _pow_slow(f, a, f.q - 2)
+            assert t.inv[a] == pow_slow(f, a, f.q - 2)
 
 
 # every small field, plus a non-default modulus for GF(9) and GF(25)
@@ -348,16 +338,28 @@ def test_tables_are_read_only(p, h):
             arr[(0,) * arr.ndim] = 1
 
 
-def test_tables_built_on_first_bulk_use_above_the_limit():
-    f = Field(3, 6)
-    assert f.q > TABLE_LIMIT
-    assert f.is_square(5) == f.tables.is_square[5]
-    g = Field(3, 6)
-    g.mul(5, 7)
-    g.inv(5)
-    g.frobenius(5, 1)
-    assert g._tables is None         # scalar operations stay polynomial
-    assert Field(3, 5)._tables is not None
+SCALAR_CALLS = {
+    "add": lambda f: f.add(2, 3), "sub": lambda f: f.sub(2, 3),
+    "neg": lambda f: f.neg(2), "mul": lambda f: f.mul(2, 3),
+    "inv": lambda f: f.inv(2), "pow": lambda f: f.pow(2, 3),
+    "frobenius": lambda f: f.frobenius(2, f.h - 1),
+    "is_square": lambda f: f.is_square(2),
+}
+
+
+def test_tables_built_on_first_scalar_use():
+    """The constructor builds no tables; any scalar operation builds them and
+    returns a Python int or bool, never a numpy scalar, whose repr would
+    leak into SemiaffineMap tuples."""
+    for p, h in [(5, 1), (3, 6)]:
+        for name, call in SCALAR_CALLS.items():
+            f = Field(p, h)
+            assert f._tables is None, name
+            value = call(f)
+            assert f._tables is not None, name
+            assert type(value) is (bool if name == "is_square" else int), name
+        assert f.frobenius(2, f.h - 1) == pow_slow(f, 2, f.q // p)
+        assert f.is_square(2) == (pow_slow(f, 2, (f.q - 1) // 2) == 1)
 
 
 def test_poly_str():

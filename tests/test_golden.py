@@ -122,9 +122,9 @@ PUBLIC_API = [
     "build_integral_graph", "canonical_index", "classify", "classify_partition",
     "complement_graph", "dimacs_text", "distance", "enumerate_points",
     "expected_verdict", "flip_edge", "graph6_bytes", "is_integral",
-    "is_irreducible", "least_irreducible", "m_orbits", "make_field", "norm",
-    "normalize_map", "orbital_connected", "orbits_under", "parse_dimacs",
-    "parse_graph6", "point_of_index", "poly_str", "preserves_cones",
+    "is_irreducible", "least_irreducible", "m_orbits", "norm", "normalize_map",
+    "orbital_connected", "orbits_under", "parse_dimacs", "parse_graph6",
+    "point_of_index", "poly_str", "preserves_cones",
     "preserves_integral", "read_permutation_file", "recognize_semiaffine",
     "refine_coloring", "satisfies_zero_iff", "sphere_counts_enumerated",
     "sphere_counts_formula", "to_permutation", "verify_classification",

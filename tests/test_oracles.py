@@ -675,6 +675,7 @@ import contextlib, io, sys
 from intaut import Field, cli, graph, orbits, transform
 from intaut.space import SphereClass
 with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["field-info", "--p", "3", "--h", "6"]) == 0
     assert cli.main(["verify", "--p", "3", "--n", "3"]) == 0
     assert cli.main(["verify", "--p", "5", "--n", "2"]) == 0
     assert cli.main(["spheres", "--p", "31", "--h", "2", "--n", "2",

@@ -4,10 +4,10 @@ Production works on generators and on gathers over `Field.tables`; the
 helpers here take the direct routes it does not: field arithmetic and
 field tables by polynomial arithmetic, norms summed over the point matrix,
 maps applied point by point with scalar field arithmetic, every orthogonal
-matrix (by row backtracking and by a full scan), every element of the map family, and
-the explicit group closure with its point-stabilizer orbits.  They run only
-on small instances, and import nothing but numpy and intaut, so every test
-module (and conftest) can import them.
+matrix (by row backtracking and by a full scan), every element of the map
+family, and the explicit group closure with its point-stabilizer orbits.
+They run only on small instances, and import nothing but numpy and intaut,
+so every test module (and conftest) can import them.
 """
 
 import numpy as np

@@ -19,7 +19,7 @@ from .transform import (SemiaffineMap, normalize_map, to_permutation,
 from .orbits import (OrbitDecomposition, OrbitalStatus, orbits_under,
                      classify_partition, m_orbits, orbital_connected)
 from .graph import (IntegralGraph, AutGroupResult, ClassificationReport,
-                    Verdict, build_integral_graph, complement_graph, flip_edge,
+                    Verdict, build_integral_graph, flip_edge,
                     refine_coloring, automorphism_group, verify_classification,
                     expected_verdict, graph6_bytes, parse_graph6,
                     dimacs_text, parse_dimacs)

@@ -68,17 +68,10 @@ class IntegralGraph:
 
 
 def build_integral_graph(field: Field, n: int) -> IntegralGraph:
-    adj = space.integral_matrix(field, n).copy()
+    adj = space.integral_matrix(field, n)
     np.fill_diagonal(adj, False)
     adj.setflags(write=False)
     return IntegralGraph(adj, field, n)
-
-
-def complement_graph(graph: IntegralGraph) -> IntegralGraph:
-    adj = ~graph.adjacency
-    np.fill_diagonal(adj, False)
-    adj.setflags(write=False)
-    return IntegralGraph(adj, graph.field, graph.n)
 
 
 def flip_edge(graph: IntegralGraph, u: int, v: int) -> IntegralGraph:
@@ -445,11 +438,11 @@ class ClassificationReport:
 
 
 def expected_verdict(field: Field, n: int) -> Verdict:
-    """Equal for n >= 3 and for planes over q = 3 mod 4, strictly larger
-    for planes over q = 1 mod 4."""
-    if n >= 3 or field.q % 4 == 3:
-        return Verdict.EQUAL
-    return Verdict.STRICTLY_LARGER
+    """The verdict verify expects for n >= 2: strictly larger for planes
+    over q = 1 mod 4 with h > 1 or q = 5, equal otherwise."""
+    if n == 2 and field.q % 4 == 1 and (field.h > 1 or field.q == 5):
+        return Verdict.STRICTLY_LARGER
+    return Verdict.EQUAL
 
 
 def verify_classification(field: Field, n: int, *,

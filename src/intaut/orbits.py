@@ -65,21 +65,22 @@ def orbits_under(perms, size: int) -> OrbitDecomposition:
         label = label[label]
         if np.array_equal(label, before):
             break
+    return _grouped(label)
+
+
+def _grouped(label: np.ndarray) -> OrbitDecomposition:
+    """The indices grouped by equal label, each group sorted, the groups
+    ordered by least element."""
     order = np.argsort(label, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), size]
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), label.size]
     points = order.tolist()
-    return OrbitDecomposition(tuple(tuple(points[a:b])
-                                    for a, b in zip(cuts, cuts[1:]) if b > a))
+    return OrbitDecomposition(tuple(sorted(tuple(points[a:b])
+                                           for a, b in zip(cuts, cuts[1:]) if b > a)))
 
 
 def classify_partition(field: Field, n: int) -> OrbitDecomposition:
     """Point indices grouped by norm class, empty classes omitted."""
-    classes = space.class_of_point(field, n)
-    buckets = {cls: [] for cls in SphereClass}
-    for k, cls in enumerate(classes):
-        buckets[cls].append(k)
-    groups = sorted((o for o in buckets.values() if o), key=lambda o: o[0])
-    return OrbitDecomposition(tuple(tuple(o) for o in groups))
+    return _grouped(space.class_of_point(field, n))
 
 
 def m_generators(field: Field, n: int) -> list:
@@ -158,10 +159,8 @@ def orbital_connected(field: Field, n: int,
     """
     if sphere_class is SphereClass.ORIGIN:
         raise ValueError("connectivity is defined for the nonzero classes only")
-    total = space.num_points(field, n)
-    classes = space.class_of_point(field, n)
-    steps = np.fromiter((k for k in range(total) if classes[k] is sphere_class),
-                        np.intp)
+    code = list(SphereClass).index(sphere_class)
+    steps = np.flatnonzero(space.class_of_point(field, n) == code)
     if not steps.size:
         return OrbitalStatus.DEGENERATE
     tb = field.tables

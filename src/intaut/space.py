@@ -3,6 +3,8 @@ form and the square/non-square classification of vectors.
 
 A point is a tuple of n element indices; its canonical index is the mixed
 radix value sum(x[j] * q**j), so coordinate 0 is least significant.
+In bulk, a norm class is a uint8 code, the position of the SphereClass in
+list(SphereClass): 0 origin, 1 isotropic, 2 square, 3 non-square.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ from .field import Field
 
 # the CLI's default --max-points; library functions take no such bound
 DEFAULT_MAX_POINTS = 100_000
-# entries a bulk table may hold: the distance matrix, the reflection images
+# entries a bulk table may hold: the pair class codes, the reflection images
 MAX_BULK_ENTRIES = 4_000_000
 # (field, n) pairs whose bulk tables stay cached; the least recently used go
 CACHE_SIZE = 8
 
 
 class SphereClass(enum.Enum):
-    """Classification of a vector by its squared norm."""
+    """Classification of a vector by its squared norm, in class code order."""
 
     ORIGIN = "origin"
     ISOTROPIC = "isotropic"          # nonzero, norm 0
@@ -193,17 +195,22 @@ def _norm_array(field: Field, n: int) -> np.ndarray:
     return acc
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def distance_matrix(field: Field, n: int) -> np.ndarray:
-    """q^n x q^n array of squared distances between all point pairs: entry
-    (u, v) is the norm of x_u - x_v, read off _norm_array.  Over
-    MAX_BULK_ENTRIES entries it raises TooLargeError; lru_cache caches no
-    raise, so the bound holds on every call.
+def _code_of_norm(field: Field) -> np.ndarray:
+    """code_of_norm[w]: the class code of a nonzero vector of norm w."""
+    out = np.where(field.tables.is_square, np.uint8(2), np.uint8(3))
+    out[0] = 1
+    return out
 
-    The index of x_u - x_v is sum_j (u_j - v_j) q^j.  With the point indices
-    reshaped to n digit axes each (coordinate j on axis n-1-j), the term of
-    coordinate j is the q x q subtraction table times q^j, broadcast over
-    the axis pair of digit j of u and of v.
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def class_of_pair(field: Field, n: int) -> np.ndarray:
+    """q^n x q^n uint8 array: entry (u, v) is the class code of x_u - x_v.
+    Over MAX_BULK_ENTRIES entries it raises TooLargeError; lru_cache caches
+    no raise, so the bound holds on every call.
+
+    Coordinate by coordinate as in _norm_array: new top coordinates a of u
+    and b of v add (a - b)^2 to the norm over the lower ones, at row
+    a * q^j + u' and column b * q^j + v'.  The last addition gives codes.
     """
     tb = field.tables
     q = field.q
@@ -211,33 +218,33 @@ def distance_matrix(field: Field, n: int) -> np.ndarray:
     if total * total > MAX_BULK_ENTRIES:
         raise TooLargeError(
             f"pairwise table with {total}^2 entries exceeds the bulk bound")
-    sub = tb.add[:, tb.neg]                        # sub[a, b] = a - b
-    diff = np.zeros((q,) * (2 * n), dtype=np.int32)
+    square_diff = tb.square_of[tb.add[:, tb.neg]]  # square_diff[a, b] = (a - b)^2
+    codes = _code_of_norm(field)[tb.add]           # codes[s, t]: code of norm s + t
+    acc = np.zeros((1, 1), dtype=np.intp)
     for j in range(n):
-        shape = [1] * (2 * n)
-        shape[n - 1 - j] = shape[2 * n - 1 - j] = q
-        diff += (sub * q ** j).reshape(shape)
-    out = _norm_array(field, n)[diff.reshape(total, total)]
-    out.setflags(write=False)
-    return out
+        table = codes if j == n - 1 else tb.add
+        size = q * acc.shape[0]
+        acc = table[square_diff[:, None, :, None],
+                    acc[None, :, None, :]].reshape(size, size)
+    np.fill_diagonal(acc, 0)
+    acc.setflags(write=False)
+    return acc
 
 
 def integral_matrix(field: Field, n: int) -> np.ndarray:
     """Boolean matrix of the integral-distance relation (diagonal True)."""
-    return field.tables.is_square[distance_matrix(field, n)]
+    return class_of_pair(field, n) <= 2
 
 
 def zero_distance_matrix(field: Field, n: int) -> np.ndarray:
     """Boolean matrix of the distance-zero relation (diagonal True)."""
-    return distance_matrix(field, n) == 0
+    return class_of_pair(field, n) <= 1
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def class_of_point(field: Field, n: int) -> tuple:
-    """SphereClass of every point, indexed by canonical point index."""
-    norms = _norm_array(field, n)
-    kind = np.where(field.tables.is_square[norms], 2, 3)
-    kind[norms == 0] = 1
-    kind[0] = 0
-    classes = list(SphereClass)  # ORIGIN, ISOTROPIC, SQUARE, NONSQUARE
-    return tuple(classes[k] for k in kind.tolist())
+def class_of_point(field: Field, n: int) -> np.ndarray:
+    """Class code of every point, indexed by canonical point index."""
+    out = _code_of_norm(field)[_norm_array(field, n)]
+    out[0] = 0
+    out.setflags(write=False)
+    return out

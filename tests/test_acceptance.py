@@ -6,8 +6,6 @@ independent oracles in this repository (brute-force scans, enumeration)
 before being pinned here as regression constants.
 """
 
-import subprocess
-import sys
 import time
 
 import pytest
@@ -25,6 +23,7 @@ from intaut.transform import (preserves_cones, preserves_integral,
                               write_permutation_file)
 from oracles import (close_permutation_group, orthogonal_bruteforce,
                      stabilizer_orbits)
+from test_cli import run_cli
 
 GRID = [(p, h, n)
         for p in (3, 5, 7) for h in (1, 2) for n in (2, 3, 4, 5)
@@ -206,10 +205,8 @@ def test_criterion_9_property_suites(tmp_path, graph33, sa33):
     assert (parse_dimacs(dimacs_text(graph33)) == graph33.adjacency).all()
 
     # negative control: corrupted graph -> Violation with exit 1 via the CLI
-    res = subprocess.run(
-        [sys.executable, "-m", "intaut", "verify", "--p", "3", "--h", "1",
-         "--n", "2", "--corrupt", "--output", "tsv"],
-        capture_output=True, text=True)
+    res = run_cli("verify", "--p", "3", "--h", "1", "--n", "2", "--corrupt",
+                  "--output", "tsv")
     assert res.returncode == 1
     assert "violation" in res.stdout
 

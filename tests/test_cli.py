@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import intaut
 from intaut import (Field, InternalInconsistencyError, cli, graph, orbits,
                     to_permutation, write_permutation_file)
 from intaut import field as fieldmod
@@ -12,8 +15,11 @@ from oracles import enumerate_orthogonal
 
 
 def run_cli(*args):
+    """`python -m intaut` on the package under test, wherever it is imported
+    from."""
+    env = dict(os.environ, PYTHONPATH=str(Path(intaut.__file__).resolve().parents[1]))
     return subprocess.run([sys.executable, "-m", "intaut", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def tsv_dict(stdout):
@@ -171,6 +177,17 @@ def test_verify_plane_anomaly_is_predicted_state():
     assert d["status"] == "ok"
 
 
+# every plane up to 729 points, q = 1 mod 4 with h = 1 and q > 5 included
+@pytest.mark.parametrize("p,h", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1),
+                                 (17, 1), (19, 1), (23, 1), (5, 2), (3, 3)])
+def test_verify_passes_on_every_plane(p, h, capsys):
+    argv = ["verify", "--p", str(p), "--h", str(h), "--n", "2", "--output", "tsv"]
+    assert cli.main(argv) == 0
+    d = tsv_dict(capsys.readouterr().out)
+    assert d["verdict"] == d["expected_verdict"]
+    assert d["status"] == "ok"
+
+
 def test_verify_corrupt_negative_control():
     res = run_cli("verify", "--p", "3", "--h", "1", "--n", "2", "--corrupt",
                   "--output", "tsv")
@@ -218,7 +235,7 @@ def test_verify_internal_error_exits_3(monkeypatch, capsys, fake, name):
 
 
 def test_verify_refuses_bulk_bound_before_relation_work(monkeypatch, capsys):
-    # 3^8 passes --max-points but not the distance matrix's bulk bound
+    # 3^8 passes --max-points but not the pair class codes' bulk bound
     monkeypatch.setattr(orbits, "m_generators", _crash)
     assert cli.main(["verify", "--p", "3", "--n", "8"]) == cli.USAGE_ERROR
     assert capsys.readouterr() == (

@@ -42,6 +42,7 @@ CASES = {
     "verify-25": (["verify", "--p", "5", "--n", "2", "--output", "tsv"], 0, None),
     "verify-81": (["verify", "--p", "3", "--h", "2", "--n", "2"], 0, None),
     "verify-343": (["verify", "--p", "7", "--n", "3"], 0, None),
+    "verify-169": (["verify", "--p", "13", "--n", "2"], 0, None),
     "recognize-81": (["recognize", "--p", "3", "--h", "2", "--n", "2",
                       "--perm-file", str(GOLDEN / "recognize-81.perm")], 0, None),
     "recognize-27-swap": (["recognize", "--p", "3", "--n", "3",
@@ -120,7 +121,7 @@ PUBLIC_API = [
     "OrbitDecomposition", "OrbitalStatus", "SemiaffineMap", "SphereClass",
     "SphereCounts", "TooLargeError", "Verdict", "automorphism_group",
     "build_integral_graph", "canonical_index", "classify", "classify_partition",
-    "complement_graph", "dimacs_text", "distance", "enumerate_points",
+    "dimacs_text", "distance", "enumerate_points",
     "expected_verdict", "flip_edge", "graph6_bytes", "is_integral",
     "is_irreducible", "least_irreducible", "m_orbits", "norm", "normalize_map",
     "orbital_connected", "orbits_under", "parse_dimacs", "parse_graph6",

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from intaut import Field, TooLargeError, graph
 from intaut.graph import (Verdict, automorphism_group, build_integral_graph,
-                          complement_graph, dimacs_text, expected_verdict,
-                          flip_edge, graph6_bytes, parse_dimacs, parse_graph6,
-                          refine_coloring, verify_classification)
+                          dimacs_text, expected_verdict, flip_edge, graph6_bytes,
+                          parse_dimacs, parse_graph6, refine_coloring,
+                          verify_classification)
 from intaut.orbits import classify_partition
 from intaut.space import sphere_counts_formula
 from intaut.transform import SemiaffineMap, to_permutation
@@ -133,8 +133,9 @@ def test_aut_deterministic(graph33):
 
 
 def test_complement_has_same_group(graph33, aut33):
-    comp = automorphism_group(complement_graph(graph33))
-    assert comp.order == aut33.order
+    comp = ~graph33.adjacency
+    np.fill_diagonal(comp, False)
+    assert automorphism_group(comp).order == aut33.order
 
 
 def test_vertex_guard(monkeypatch):
@@ -254,6 +255,9 @@ def test_expected_verdicts(f3, f5, f7, f9):
     assert expected_verdict(f7, 2) is Verdict.EQUAL
     assert expected_verdict(f5, 2) is Verdict.STRICTLY_LARGER
     assert expected_verdict(f9, 2) is Verdict.STRICTLY_LARGER
+    assert expected_verdict(Field(13), 2) is Verdict.EQUAL
+    assert expected_verdict(Field(17), 2) is Verdict.EQUAL
+    assert expected_verdict(Field(5, 2), 2) is Verdict.STRICTLY_LARGER
     assert expected_verdict(f9, 3) is Verdict.EQUAL
 
 

@@ -2,7 +2,7 @@
 
 Equitable refinement, orbital-graph connectivity (a rank over GF(p) in the
 library, a breadth-first search here), the cone sets, graph6 and DIMACS
-reading and writing, the distance matrix, the reflection generators and the
+reading and writing, the pair class codes, the reflection generators and the
 point permutations of maps each have a fast implementation in the library.
 The scalar (or earlier numpy) versions are kept here as oracles, and both
 must give the same answers: the same ordered cells, the same connectivity
@@ -25,6 +25,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -128,23 +129,17 @@ def orbital_neighbors(field, n, sphere_class, index):
     out-degree therefore equals the class cardinality."""
     if sphere_class is SphereClass.ORIGIN:
         raise ValueError("step class must be one of the nonzero classes")
-    total = space.num_points(field, n)
-    classes = space.class_of_point(field, n)
     x = space.point_of_index(field, n, index)
-    out = []
-    for k in range(total):
-        if classes[k] is sphere_class:
-            y = space.point_of_index(field, n, k)
-            out.append(space.canonical_index(field, space.vec_add(field, x, y)))
-    return tuple(out)
+    return tuple(space.canonical_index(field, space.vec_add(field, x, y))
+                 for y in space.enumerate_points(field, n)
+                 if space.classify(field, y) is sphere_class)
 
 
 def orbital_connected_oracle(field, n, sphere_class):
     """Breadth-first search with one scalar vector addition per step."""
     total = space.num_points(field, n)
-    classes = space.class_of_point(field, n)
-    steps = [space.point_of_index(field, n, k)
-             for k in range(total) if classes[k] is sphere_class]
+    steps = [y for y in space.enumerate_points(field, n)
+             if space.classify(field, y) is sphere_class]
     if not steps:
         return OrbitalStatus.DEGENERATE
     step_set = set(steps)
@@ -549,11 +544,21 @@ def test_orbital_connected_matches_oracle(p, h, n):
 
 
 def fake_classes(monkeypatch, members):
-    """Make SQUARE the class of exactly the given point indices."""
+    """Make SQUARE the class of exactly the given point indices, NONSQUARE
+    the class of every other point, in the class codes and in classify."""
+    square, nonsquare = (list(SphereClass).index(c)
+                         for c in (SphereClass.SQUARE, SphereClass.NONSQUARE))
+
     def class_of_point(field, n):
-        return tuple(SphereClass.SQUARE if k in members else SphereClass.NONSQUARE
-                     for k in range(space.num_points(field, n)))
+        codes = np.full(space.num_points(field, n), nonsquare, dtype=np.uint8)
+        codes[sorted(members)] = square
+        return codes
+
+    def classify(field, v):
+        return (SphereClass.SQUARE if space.canonical_index(field, v) in members
+                else SphereClass.NONSQUARE)
     monkeypatch.setattr(space, "class_of_point", class_of_point)
+    monkeypatch.setattr(space, "classify", classify)
 
 
 def test_orbital_disconnected_when_steps_lie_on_one_axis(monkeypatch):
@@ -1034,7 +1039,7 @@ def test_graph6_boundary_sizes_cover_every_padding_residue():
     assert {n * (n - 1) // 2 % 6 for n in GRAPH6_SIZES if n > 62} == residues
 
 
-# -- distance matrix ---------------------------------------------------------------
+# -- pair class codes ----------------------------------------------------------------
 
 def distance_matrix_oracle(field, n):
     """One q^n x q^n table gather per coordinate: the sum over j of the
@@ -1062,11 +1067,35 @@ def seeded_field(p, h, seed):
                                    (3, 2, 3), (5, 2, 2), (3, 3, 2), (3, 3, 1)])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_distance_matrix_matches_oracle(p, h, n, seed):
+    """space.class_of_pair is the oracle's squared distance mapped through
+    the codes of the nonzero classes, with the origin's code 0 on the
+    diagonal."""
     field = seeded_field(p, h, seed)
-    got = space.distance_matrix(field, n)
-    want = distance_matrix_oracle(field, n)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    codes = [list(SphereClass).index(SphereClass.ISOTROPIC)]
+    codes += [list(SphereClass).index(SphereClass.SQUARE if field.is_square(w)
+                                      else SphereClass.NONSQUARE)
+              for w in range(1, field.q)]
+    want = np.asarray(codes)[distance_matrix_oracle(field, n)]
+    np.fill_diagonal(want, list(SphereClass).index(SphereClass.ORIGIN))
+    got = space.class_of_pair(field, n)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
     assert not got.flags.writeable
+
+
+# the build holds the result, the norms over all but the top coordinate and
+# their intp index copy: 1 + 12 / q^2 bytes a pair, 2.3 at q = 3
+@pytest.mark.parametrize("p,n", [(3, 6), (5, 4)])
+def test_class_of_pair_peak_memory(p, n):
+    field = Field(p)
+    field.tables                          # built before tracing starts
+    space.class_of_pair.cache_clear()
+    tracemalloc.start()
+    try:
+        codes = space.class_of_pair(field, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * codes.size
 
 
 # -- point permutations of maps -------------------------------------------------------
@@ -1121,12 +1150,11 @@ def m_generators_oracle(field, n):
     scalar_matrix = tuple(tuple(rho if i == j else 0 for j in range(n))
                           for i in range(n))
     gens = [map_permutation_array_oracle(field, n, 1, 0, scalar_matrix, (0,) * n)]
-    classes = space.class_of_point(field, n)
     seen = set()
     for k in range(1, total):
-        if classes[k] in (SphereClass.ORIGIN, SphereClass.ISOTROPIC):
-            continue
         v = space.point_of_index(field, n, k)
+        if space.classify(field, v) is SphereClass.ISOTROPIC:
+            continue
         lead = next(c for c in v if c)
         unit = tuple(field.mul(field.inv(lead), c) for c in v)
         if unit in seen:

@@ -6,8 +6,8 @@ import pytest
 from intaut import Field, build_integral_graph, space, transform
 from intaut.field import least_irreducible
 from intaut.space import (CACHE_SIZE, SphereClass,
-                          canonical_index, class_of_point, classify, distance,
-                          distance_matrix, enumerate_points, is_integral, norm,
+                          canonical_index, class_of_pair, class_of_point, classify,
+                          distance, enumerate_points, is_integral, norm,
                           point_matrix, point_of_index, sphere_counts_enumerated,
                           sphere_counts_formula, vec_add)
 from oracles import norm_array_oracle
@@ -197,18 +197,19 @@ def test_norm_array_equals_the_point_matrix_route(p, h, modulus, n):
 @pytest.mark.parametrize("p,h,n", [(3, 1, 3), (5, 1, 2), (3, 2, 2), (7, 1, 3)])
 def test_class_of_point_matches_classify(p, h, n):
     f = Field(p, h)
-    expected = tuple(classify(f, v) for v in enumerate_points(f, n))
-    assert class_of_point(f, n) == expected
+    expected = [list(SphereClass).index(classify(f, v)) for v in enumerate_points(f, n)]
+    codes = class_of_point(f, n)
+    assert codes.dtype == np.uint8 and codes.tolist() == expected
 
 
 # -- shared caches -----------------------------------------------------------
 
 def test_cached_arrays_are_read_only_with_one_entry():
     f = Field(3)
-    dm = distance_matrix(f, 2)
-    assert dm is distance_matrix(f, 2)
-    assert class_of_point(f, 2) is class_of_point(f, 2)
-    for arr in (dm, point_matrix(f, 2)):
+    pairs, points = class_of_pair(f, 2), class_of_point(f, 2)
+    assert pairs is class_of_pair(f, 2)
+    assert points is class_of_point(f, 2)
+    for arr in (pairs, points[None], point_matrix(f, 2)):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 1] = 2
@@ -220,7 +221,7 @@ def test_caches_keep_at_most_cache_size_entries():
     bulk cache at CACHE_SIZE entries; an evicted entry is rebuilt equal."""
     keys = [(Field(p), n) for p in (3, 5, 7, 11) for n in (1, 2, 3) if p ** n <= 400]
     assert len(keys) > CACHE_SIZE
-    cached = (space.point_matrix, space.distance_matrix, space.class_of_point,
+    cached = (space.point_matrix, space.class_of_pair, space.class_of_point,
               transform._cones)
     first = [f(*keys[0]) for f in cached]
     for key in keys:
@@ -230,7 +231,4 @@ def test_caches_keep_at_most_cache_size_entries():
         assert f.cache_info().currsize == CACHE_SIZE
         new = f(*keys[0])
         assert new is not old
-        if isinstance(old, np.ndarray):
-            assert np.array_equal(new, old) and not new.flags.writeable
-        else:
-            assert new == old
+        assert np.array_equal(new, old) and not new.flags.writeable

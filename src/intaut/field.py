@@ -5,13 +5,16 @@ Elements are addressed by their canonical index: the coefficient vector
 first, read as a base-p integer.  Index 0 is zero and index 1 is one, so
 tuples of indices can be compared, hashed and packed without further
 bookkeeping.  Every arithmetic operation, scalar or bulk, reads the
-read-only tables of `Field.tables`, built on first use.  All operations are
-pure; a Field is immutable once built.
+read-only tables of `Field.tables`, built on first use; of them the q x q
+multiplication table is built only on its own first read.  All operations
+are pure; a Field is immutable once built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import functools
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -157,17 +160,49 @@ def least_irreducible(p: int, h: int) -> tuple:
     raise InternalInconsistencyError("no irreducible polynomial found")
 
 
+def _square_zeros(q: int) -> np.ndarray:
+    """A q x q int32 array of zeros; MemoryError when it cannot be allocated."""
+    try:
+        return np.zeros((q, q), dtype=np.int32)
+    except ValueError:   # numpy's "array is too big": beyond the address space
+        raise MemoryError from None
+
+
+def _beyond_memory(q: int) -> TooLargeError:
+    return TooLargeError(f"the arithmetic tables of GF({q}) do not fit in memory")
+
+
 @dataclass(frozen=True)
 class FieldTables:
-    """Read-only arithmetic tables of a field, for vectorised gathers."""
+    """Read-only arithmetic tables of a field, for vectorised gathers.
+
+    mul, the one q x q table that the norm classes never read, is built by
+    mul_from() on its first read and is a plain attribute from then on; a
+    failed allocation there raises TooLargeError, as add's does."""
 
     add: np.ndarray        # q x q
-    mul: np.ndarray        # q x q
+    mul: np.ndarray = dataclasses.field(init=False)  # q x q, on first read
     neg: np.ndarray        # q
     inv: np.ndarray        # q, inv[0] = 0 as a placeholder
     is_square: np.ndarray  # q, bool, zero counted as a square
     frob: np.ndarray       # h x q, frob[i][a] = a^(p^i)
     square_of: np.ndarray  # q, square_of[a] = a*a
+    mul_from: InitVar      # () -> the read-only mul table
+
+    def __post_init__(self, mul_from):
+        object.__setattr__(self, "_mul_from", mul_from)
+
+    def __getattr__(self, name):
+        # only reached while mul is unset: normal lookup finds it once set
+        if name != "mul":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        try:
+            mul = self._mul_from()
+        except MemoryError:
+            raise _beyond_memory(len(self.add)) from None
+        object.__setattr__(self, "mul", mul)
+        return mul
 
 
 class Field:
@@ -320,17 +355,18 @@ class Field:
 
     @property
     def tables(self) -> FieldTables:
-        """The arithmetic tables as read-only numpy arrays, built on first use.
+        """The arithmetic tables as read-only numpy arrays, built on first use,
+        except mul, built on the first read of tables.mul.
 
-        Raises TooLargeError when their q x q arrays cannot be allocated."""
+        Raises TooLargeError when the q x q add table cannot be allocated;
+        the first read of mul raises it when mul cannot."""
         # not a functools.cached_property: its direct write into the instance
         # dict slows every later attribute read, so every scalar operation
         if self._tables is None:
             try:
                 self._tables = self._build_tables()
             except MemoryError:
-                raise TooLargeError(f"the arithmetic tables of GF({self.q}) "
-                                    f"do not fit in memory") from None
+                raise _beyond_memory(self.q) from None
         return self._tables
 
     def _build_tables(self) -> FieldTables:
@@ -343,15 +379,11 @@ class Field:
         too large for memory fails on that first allocation.  The powers of
         a primitive element g are doubled with the matrix of x -> g x: the
         rows g^0 .. g^(k-1), times that matrix to the k, are g^k .. g^(2k-1).
-        mul, inv, frob and square_of then gather from the powers by logs;
-        mul, filled block by block of rows, gathers from the powers written
-        twice, so that no log sum needs a modulo.  neg is the row of -1.
-        The q x q arrays are int32, and no q x q temporary is made."""
+        neg, inv, frob and square_of then gather from the powers by logs;
+        -1 is g^((q-1)/2), so neg adds (q-1)/2 to each log.  mul is left to
+        _mul_table, on its first read."""
         q, p, h = self.q, self.p, self.h
-        try:
-            add = np.zeros((q, q), dtype=np.int32)
-        except ValueError:   # numpy's "array is too big": beyond the address space
-            raise MemoryError from None
+        add = _square_zeros(q)
         digits = np.arange(p, dtype=np.int32)
         twice = np.concatenate((digits, digits))         # twice[a + b] = (a + b) % p
         low = np.zeros((1, 1), dtype=np.int32)           # the table of no digits
@@ -374,22 +406,16 @@ class Field:
         power = (coeffs[:order] @ p ** np.arange(h)).astype(np.int32)  # power[e] = g^e
         log = np.zeros(q, dtype=np.int64)                # log[0] = 0: see below
         log[power] = np.arange(order)
-        e = log.astype(np.int32)
-        cycle = np.concatenate((power, power))           # cycle[e] = g^e, e < 2q - 2
-        mul = np.zeros((q, q), dtype=np.int32)
-        rows = max(1, 2 ** 16 // q)                      # blocks of log sums stay small
-        for r in range(0, q, rows):
-            np.take(cycle, e[r:r + rows, None] + e, out=mul[r:r + rows])
-        mul[0, :] = mul[:, 0] = 0
-        neg = mul[p - 1].copy()                          # index p - 1 is -1
+        neg = power[(log + order // 2) % order]
         inv = power[-log % order]
         frob = np.stack([power[log * p ** i % order] for i in range(h)])
         square_of = power[2 * log % order]
-        inv[0] = frob[:, 0] = square_of[0] = 0
+        neg[0] = inv[0] = frob[:, 0] = square_of[0] = 0
         is_square = log % 2 == 0                         # zero included, by log[0]
-        for arr in (add, mul, neg, inv, is_square, frob, square_of):
+        for arr in (add, neg, inv, is_square, frob, square_of):
             arr.setflags(write=False)
-        return FieldTables(add, mul, neg, inv, is_square, frob, square_of)
+        return FieldTables(add, neg, inv, is_square, frob, square_of,
+                           functools.partial(_mul_table, power, log))
 
     def __eq__(self, other):
         if not isinstance(other, Field):
@@ -402,6 +428,24 @@ class Field:
     def __repr__(self):
         poly = poly_str(self.modulus)
         return f"Field({self.p}, {self.h}, modulus={poly})"
+
+
+def _mul_table(power: np.ndarray, log: np.ndarray) -> np.ndarray:
+    """The read-only int32 q x q table mul[a, b] = g^(log a + log b), zero
+    in row and column 0, from power[e] = g^e and the logs.
+
+    Filled block by block of rows, it gathers from the powers written twice,
+    so that no log sum needs a modulo, and no q x q temporary is made."""
+    q = len(log)
+    mul = _square_zeros(q)
+    e = log.astype(np.int32)
+    cycle = np.concatenate((power, power))               # cycle[e] = g^e, e < 2q - 2
+    rows = max(1, 2 ** 16 // q)                          # blocks of log sums stay small
+    for r in range(0, q, rows):
+        np.take(cycle, e[r:r + rows, None] + e, out=mul[r:r + rows])
+    mul[0, :] = mul[:, 0] = 0
+    mul.setflags(write=False)
+    return mul
 
 
 def poly_str(coeffs) -> str:

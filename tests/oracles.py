@@ -76,7 +76,9 @@ def primitive_element_oracle(field) -> int:
 def field_tables_oracle(field) -> FieldTables:
     """The arithmetic tables built directly: add digit-wise in base p, neg
     from the zero in each row of add, the rest from the powers of the least
-    primitive element, multiplied out by polynomial arithmetic."""
+    primitive element, multiplied out by polynomial arithmetic.  mul is built
+    here too, so reading the result's mul returns this table, not the
+    library's deferred build."""
     q, p = field.q, field.p
     index = np.arange(q, dtype=np.int32)
     add = np.zeros((q, q), dtype=np.int32)
@@ -103,7 +105,7 @@ def field_tables_oracle(field) -> FieldTables:
     is_square = log % 2 == 0                         # zero included, by log[0]
     for arr in (add, mul, neg, inv, is_square, frob, square_of):
         arr.setflags(write=False)
-    return FieldTables(add, mul, neg, inv, is_square, frob, square_of)
+    return FieldTables(add, neg, inv, is_square, frob, square_of, lambda: mul)
 
 
 def norm_array_oracle(field, n: int) -> np.ndarray:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import intaut
-from intaut import (Field, InternalInconsistencyError, cli, graph, orbits,
-                    to_permutation, write_permutation_file)
+from intaut import (Field, InternalInconsistencyError, TooLargeError, cli, graph,
+                    orbits, space, to_permutation, transform, write_permutation_file)
 from intaut import field as fieldmod
 from intaut.transform import SemiaffineMap
 from oracles import enumerate_orthogonal
@@ -59,6 +59,76 @@ def test_field_tables_beyond_memory_exit_2(monkeypatch, capsys):
     assert fake.refused == 1
     f = Field(3, 7)                        # q = 2187: tables of 4.8 M entries
     assert f.tables.add.shape == (2187, 2187) and fake.refused == 1
+
+
+class SquareTables:
+    """numpy, recording the shape of every square np.zeros of more than one
+    entry, the q x q tables; with refuse=k the k-th of them fails the way an
+    allocation beyond the machine's memory does."""
+
+    def __init__(self, refuse=None):
+        self.square = []
+        self.refuse = refuse
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, dtype=float):
+        if isinstance(shape, tuple) and len(shape) == 2 and shape[0] == shape[1] > 1:
+            self.square.append(shape)
+            if len(self.square) == self.refuse:
+                raise MemoryError(f"Unable to allocate an array of shape {shape}")
+        return np.zeros(shape, dtype=dtype)
+
+
+def _clear_bulk_caches():
+    # a cached bulk table would skip the table reads of a fresh field
+    for cached in (space.point_matrix, space.class_of_pair, space.class_of_point,
+                   transform._cones):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("argv, tables", [
+    (["spheres", "--p", "31", "--h", "2", "--n", "2", "--max-points", "923521"],
+     [(961, 961)]),
+    (["field-info", "--p", "31", "--h", "2"], [(961, 961)]),
+    (["export", "--p", "3", "--n", "3", "--format", "graph6"], [(3, 3)]),
+    (["verify", "--p", "3", "--n", "3"], [(3, 3), (3, 3)])])
+def test_only_commands_that_multiply_build_mul(monkeypatch, tmp_path, argv, tables):
+    """spheres, field-info and export read no product of field elements, so
+    they allocate add alone; verify allocates mul as well."""
+    _clear_bulk_caches()
+    fake = SquareTables()
+    monkeypatch.setattr(fieldmod, "np", fake)
+    if argv[0] == "export":
+        argv = argv + ["--out", str(tmp_path / "g.g6")]
+    assert cli.main(argv) == 0
+    assert fake.square == tables
+
+
+@pytest.mark.parametrize("read", [lambda f: f.tables.mul, lambda f: f.mul(2, 3)],
+                         ids=["tables.mul", "Field.mul"])
+def test_deferred_mul_beyond_memory_is_too_large(monkeypatch, read):
+    """mul is the second q x q table; when only its allocation fails, its
+    first read is the same refusal as add's, and add's tables stay usable."""
+    fake = SquareTables(refuse=2)
+    monkeypatch.setattr(fieldmod, "np", fake)
+    f = Field(31)
+    assert f.tables.add.shape == (31, 31)
+    with pytest.raises(TooLargeError) as info:
+        read(f)
+    assert str(info.value) == "the arithmetic tables of GF(31) do not fit in memory"
+    assert fake.square == [(31, 31), (31, 31)]
+    assert f.add(20, 13) == 2 and f.tables.add[20, 13] == 2
+    assert f.is_square(5) and not f.is_square(3)
+
+
+def test_deferred_mul_beyond_memory_exit_2(monkeypatch, capsys):
+    """verify multiplies, so a refused mul is its refusal: exit 2, one line."""
+    monkeypatch.setattr(fieldmod, "np", SquareTables(refuse=2))
+    assert cli.main(["verify", "--p", "3", "--n", "3"]) == cli.USAGE_ERROR
+    assert capsys.readouterr() == (
+        "", "error: the arithmetic tables of GF(3) do not fit in memory\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -195,6 +265,32 @@ def test_verify_corrupt_negative_control():
     d = tsv_dict(res.stdout)
     assert d["verdict"] == "violation"
     assert d["status"] == "fail"
+
+
+def _fails_its_first_call(check):
+    calls = []
+
+    def fake(field, n, perm):
+        calls.append(perm)
+        return len(calls) > 1 and check(field, n, perm)
+    return fake
+
+
+@pytest.mark.parametrize("check, key", [("preserves_cones", "cone_failures"),
+                                        ("satisfies_zero_iff", "zero_iff_failures")])
+@pytest.mark.parametrize("p, expected, failures, status", [
+    (13, "equal", "1", "fail"), (5, "strictly-larger", "5", "ok")])
+def test_verify_gates_zero_and_cone_checks_when_equal_is_expected(
+        monkeypatch, capsys, check, key, p, expected, failures, status):
+    """A generator failing the zero-distance or cone check fails status
+    whenever the expected verdict is equal, on planes over q = 1 mod 4 from
+    13 up as well; on the strictly-larger planes, whose generators already
+    fail both checks (verify-25.txt), failures are printed only."""
+    monkeypatch.setattr(transform, check, _fails_its_first_call(getattr(transform, check)))
+    code = cli.main(["verify", "--p", str(p), "--n", "2", "--output", "tsv"])
+    d = tsv_dict(capsys.readouterr().out)
+    assert (d["expected_verdict"], d[key], d["status"]) == (expected, failures, status)
+    assert code == (cli.CHECK_FAILED if status == "fail" else 0)
 
 
 def test_verify_rejects_n_one():

@@ -363,6 +363,17 @@ def test_tables_built_on_first_scalar_use():
         assert f.is_square(a) == (pow_slow(f, a, (f.q - 1) // 2) == 1)
 
 
+def test_mul_built_on_its_first_read_then_kept():
+    """tables builds every table but mul; the first read of mul builds it and
+    stores it on the tables, so every later read is a plain attribute read."""
+    f = Field(3, 6)
+    t = f.tables
+    assert "mul" not in vars(t)
+    assert f.mul(2, f.q - 2) == mul_slow(f, 2, f.q - 2)
+    m = vars(t)["mul"]
+    assert t.mul is m and f.tables.mul is m
+
+
 def test_poly_str():
     assert poly_str((1, 0, 1)) == "x^2 + 1"
     assert poly_str((0, 1)) == "x"

@@ -8,6 +8,10 @@ bookkeeping.  Every arithmetic operation, scalar or bulk, reads the
 read-only tables of `Field.tables`, built on first use; of them the q x q
 multiplication table is built only on its own first read.  All operations
 are pure; a Field is immutable once built.
+
+GF(p)[x]/(f) has one model: the matrices over GF(p) of a -> a b.  Rabin's
+test on the matrix of x vets the modulus, the matrices of the elements give
+the primitive element and the tables; nothing multiplies coefficient lists.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ def _prime_divisors(m: int) -> list:
 
 
 def _mat_pow(m, e, p):
-    """e-th power, e >= 1, over GF(p) of every matrix of the int64 stack m."""
+    """e-th power, e >= 1, over GF(p) of the matrix, or of every matrix of
+    the stack, m."""
     out = None
     while True:
         if e & 1:
@@ -59,86 +64,52 @@ def _mat_pow(m, e, p):
         m = m @ m % p
 
 
-# ---------------------------------------------------------------------------
-# dense polynomials over GF(p): lists of residues, constant term first
-# ---------------------------------------------------------------------------
-
-def _ptrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
+def _times_x(modulus, p):
+    """The matrix over GF(p) of a -> x a modulo the monic modulus, acting on
+    coefficient rows: row i is the coefficient row of x x^i.  int64 while its
+    products cannot overflow, Python ints beyond."""
+    h = len(modulus) - 1
+    dtype = np.int64 if h * (p - 1) ** 2 < 2 ** 63 else object
+    times_x = np.eye(h, k=1, dtype=dtype)           # x x^i = x^(i+1), i < h-1,
+    times_x[-1] = [-c % p for c in modulus[:h]]     # x x^(h-1) reduced
+    return times_x
 
 
-def _pmod(f, m, p):
-    """Remainder of f modulo a monic polynomial m."""
-    f = list(f)
-    dm = len(m) - 1
-    while len(f) > dm:
-        c = f[-1] % p
-        if c:
-            shift = len(f) - 1 - dm
-            for i, a in enumerate(m):
-                f[shift + i] = (f[shift + i] - c * a) % p
-        f.pop()
-    return _ptrim(f)
-
-
-def _pgcd(f, g, p):
-    f, g = list(f), list(g)
-    while g:
-        inv_lead = pow(g[-1], p - 2, p)
-        monic = [(c * inv_lead) % p for c in g]
-        f, g = g, _pmod(f, monic, p)
-    return f
-
-
-def _psub(f, g, p):
-    n = max(len(f), len(g))
-    f = list(f) + [0] * (n - len(f))
-    g = list(g) + [0] * (n - len(g))
-    return _ptrim([(a - b) % p for a, b in zip(f, g)])
-
-
-def _xpow(e, m, p):
-    """x^e modulo the monic polynomial m, by square and multiply."""
-    result = [1]
-    base = _pmod([0, 1], m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
-    return result
+def rank_mod_p(m, p: int) -> int:
+    """Rank over GF(p) of an integer matrix, by Gaussian elimination."""
+    rows = np.asarray(m) % p
+    rank = 0
+    for col in range(rows.shape[1]):
+        nonzero = rank + np.flatnonzero(rows[rank:, col])
+        if not nonzero.size:
+            continue
+        rows[[rank, nonzero[0]]] = rows[[nonzero[0], rank]]
+        pivot = rows[rank] = rows[rank] * pow(int(rows[rank, col]), -1, p) % p
+        below = rows[rank + 1:]
+        below -= below[:, col, None] * pivot
+        below %= p
+        rank += 1
+    return rank
 
 
 def is_irreducible(coeffs, p) -> bool:
-    """Rabin irreducibility test for a monic polynomial over GF(p).
+    """Rabin's irreducibility test for a monic polynomial f over GF(p), on the
+    matrix X of a -> x a in GF(p)[x]/(f).
 
-    f of degree h is irreducible iff x^(p^h) == x (mod f) and, for every
-    prime r dividing h, gcd(x^(p^(h/r)) - x, f) is constant.
+    f of degree h is irreducible iff x^(p^h) = x (mod f) and, for every prime
+    r dividing h, x^(p^(h/r)) - x is prime to f.  X^k is the matrix of
+    a -> x^k a, so the first condition reads X^(p^h) = X and the second
+    says that X^(p^(h/r)) - X is invertible: its rank over GF(p) is h.
     """
     h = len(coeffs) - 1
     if h < 1 or coeffs[-1] % p != 1:
         return False
-    f = [c % p for c in coeffs]
-    if h == 1:
-        return True
-    for r in _prime_divisors(h):
-        g = _psub(_xpow(p ** (h // r), f, p), [0, 1], p)
-        if len(_pgcd(f, g, p)) > 1:
-            return False
-    return not _psub(_xpow(p ** h, f, p), [0, 1], p)
+    frob = [_times_x(coeffs, p)]                    # frob[k] = X^(p^k)
+    for _ in range(h):
+        frob.append(_mat_pow(frob[-1], p, p))
+    return (np.array_equal(frob[h], frob[0])
+            and all(rank_mod_p(frob[h // r] - frob[0], p) == h
+                    for r in _prime_divisors(h)))
 
 
 def least_irreducible(p: int, h: int) -> tuple:
@@ -149,14 +120,9 @@ def least_irreducible(p: int, h: int) -> tuple:
     modulus for Field(p, h).
     """
     for k in range(p ** h):
-        coeffs = []
-        v = k
-        for _ in range(h):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
+        coeffs = tuple(k // p ** i % p for i in range(h)) + (1,)
         if is_irreducible(coeffs, p):
-            return tuple(coeffs)
+            return coeffs
     raise InternalInconsistencyError("no irreducible polynomial found")
 
 
@@ -284,6 +250,10 @@ class Field:
         self._check(a, b)
         return self.tables.mul.item(a, b)
 
+    def square(self, a: int) -> int:
+        self._check(a)
+        return self.tables.square_of.item(a)
+
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
@@ -291,9 +261,10 @@ class Field:
         return self.tables.inv.item(a)
 
     def pow(self, a: int, e: int) -> int:
+        """a^e; for e < 0, the inverse of a to the -e."""
         self._check(a)
-        if e == 0:
-            return 1
+        if e < 0:
+            a, e = self.inv(a), -e
         result = 1
         base = a
         while e:
@@ -345,8 +316,7 @@ class Field:
         """Stack of the int64 matrices over GF(p) of x -> a x, one per element
         a: the coefficient row of x times the matrix of a is that of a x."""
         p, h = self.p, self.h
-        times_x = np.eye(h, k=1, dtype=np.int64)          # x x^i = x^(i+1), i < h-1,
-        times_x[-1] = [-c % p for c in self.modulus[:h]]  # x x^(h-1) reduced
+        times_x = _times_x(self.modulus, p)
         powers = [np.eye(h, dtype=np.int64)]              # powers[i]: matrix of x^i
         for _ in range(h - 1):
             powers.append(powers[-1] @ times_x % p)

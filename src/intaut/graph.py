@@ -1,13 +1,10 @@
 """The integral-distance graph and an independent automorphism-group engine.
 
 The engine knows nothing about fields or the map family: it computes the
-automorphism group of an arbitrary undirected graph by equitable-coloring
+automorphism group of an arbitrary simple graph by equitable-coloring
 refinement and individualization backtracking, so it serves as an unbiased
-cross-check for the group assembled from map parameters.  It accepts a
-directed adjacency matrix too, and its results stay exact, but refinement
-counts only the arcs from each vertex into a splitter, never the arcs back:
-vertices told apart only by their in-arcs stay in one cell, and the search
-can run for minutes on digraphs of a few dozen vertices.
+cross-check for the group assembled from map parameters.  An asymmetric or
+looped adjacency matrix raises ValueError.
 
 Colorings are ordered partitions, held as two arrays: the vertices in cell
 order, and a boolean mask marking where each cell starts.  Refinement splits
@@ -86,18 +83,14 @@ def flip_edge(graph: IntegralGraph, u: int, v: int) -> IntegralGraph:
 
 
 def _as_matrix(graph) -> np.ndarray:
+    """The adjacency matrix of a simple graph, which the engine and the
+    interchange writers take: square and symmetric with an empty diagonal."""
     if isinstance(graph, IntegralGraph):
-        return graph.adjacency
-    adj = np.asarray(graph, dtype=bool)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError("adjacency must be a square matrix")
-    return adj
-
-
-def _simple_matrix(graph) -> np.ndarray:
-    """_as_matrix of a graph the interchange writers can encode: they write
-    one triangle, so the matrix must be symmetric with an empty diagonal."""
-    adj = _as_matrix(graph)
+        adj = graph.adjacency
+    else:
+        adj = np.asarray(graph, dtype=bool)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValueError("adjacency must be a square matrix")
     if (adj != adj.T).any() or adj.diagonal().any():
         raise ValueError("adjacency must be symmetric with an empty diagonal")
     return adj
@@ -483,7 +476,7 @@ GRAPH6_MAX = 68719476735
 
 def graph6_bytes(graph) -> bytes:
     """Standard 6-bit upper-triangle encoding with size header."""
-    adj = _simple_matrix(graph)
+    adj = _as_matrix(graph)
     num = adj.shape[0]
     if num > GRAPH6_MAX:
         raise ValueError(f"graph6 supports at most {GRAPH6_MAX} vertices")
@@ -557,7 +550,7 @@ def dimacs_text(graph) -> str:
     rows are gathered as one fixed-size item per endpoint, and dropping the
     zero bytes from the laid-out lines leaves the text.
     """
-    adj = _simple_matrix(graph)
+    adj = _as_matrix(graph)
     num = adj.shape[0]
     u, v = np.divmod(np.flatnonzero(np.triu(adj, 1)), num)
     width = len(str(num))

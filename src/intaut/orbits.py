@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError, TooLargeError
-from .field import Field
+from .field import Field, rank_mod_p
 from . import space, transform
 from .space import SphereClass
 
@@ -154,8 +154,9 @@ def orbital_connected(field: Field, n: int,
     in the elementary abelian p-group GF(p)^(n h) that is their GF(p)-span.
     The base-p digits of a point index are its n h coordinates over GF(p),
     so the graph is connected iff the digit matrix of the steps has rank n h
-    mod p.  The step set is closed under negation (squaring kills the sign),
-    which is verified rather than assumed.
+    over GF(p), which field.rank_mod_p finds by Gaussian elimination.  The
+    step set is closed under negation (squaring kills the sign), which is
+    verified rather than assumed.
     """
     if sphere_class is SphereClass.ORIGIN:
         raise ValueError("connectivity is defined for the nonzero classes only")
@@ -170,16 +171,5 @@ def orbital_connected(field: Field, n: int,
     if not np.array_equal(negated, steps):
         raise InternalInconsistencyError("step class is not symmetric")
     p, dim = field.p, n * field.h
-    rows = steps[:, None] // p ** np.arange(dim) % p
-    rank = 0
-    for col in range(dim):
-        nonzero = rank + np.flatnonzero(rows[rank:, col])
-        if not nonzero.size:
-            continue
-        rows[[rank, nonzero[0]]] = rows[[nonzero[0], rank]]
-        pivot = rows[rank] = rows[rank] * pow(int(rows[rank, col]), -1, p) % p
-        below = rows[rank + 1:]
-        below -= below[:, col, None] * pivot
-        below %= p
-        rank += 1
+    rank = rank_mod_p(steps[:, None] // p ** np.arange(dim), p)   # digits mod p
     return OrbitalStatus.CONNECTED if rank == dim else OrbitalStatus.DISCONNECTED

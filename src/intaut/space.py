@@ -100,7 +100,7 @@ def norm(field: Field, v) -> int:
     """Sum of squared coordinates."""
     acc = 0
     for x in v:
-        acc = field.add(acc, field.mul(x, x))
+        acc = field.add(acc, field.square(x))
     return acc
 
 
@@ -109,8 +109,7 @@ def distance(field: Field, x, y) -> int:
     _check_dims(x, y)
     acc = 0
     for a, b in zip(x, y):
-        d = field.sub(a, b)
-        acc = field.add(acc, field.mul(d, d))
+        acc = field.add(acc, field.square(field.sub(a, b)))
     return acc
 
 

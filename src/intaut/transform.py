@@ -244,6 +244,7 @@ def write_permutation_file(path, perm):
 
 
 def read_permutation_file(path, expected_size=None) -> tuple:
+    """The images in a permutation file; each must be a run of ASCII digits."""
     tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -251,10 +252,11 @@ def read_permutation_file(path, expected_size=None) -> tuple:
             if not line or line.startswith("#"):
                 continue
             tokens.extend(line.split())
-    try:
-        perm = tuple(int(t) for t in tokens)
-    except ValueError as exc:
-        raise ValueError(f"malformed permutation file {path}: {exc}") from None
+    for t in tokens:
+        if not (t.isascii() and t.isdigit()):
+            raise ValueError(f"malformed permutation file {path}: "
+                             f"{t!r} is not a run of ASCII digits")
+    perm = tuple(map(int, tokens))
     size = expected_size if expected_size is not None else len(perm)
     check_bijection(perm, size)
     return perm

@@ -10,10 +10,12 @@ They run only on small instances, and import nothing but numpy and intaut,
 so every test module (and conftest) can import them.
 """
 
+import itertools
+
 import numpy as np
 
 from intaut import InternalInconsistencyError, TooLargeError, space, transform
-from intaut.field import FieldTables, _pmod, _pmul, _ptrim
+from intaut.field import FieldTables
 from intaut.orbits import OrbitDecomposition, orbits_under
 
 
@@ -36,17 +38,37 @@ def add_slow(field, a, b):
     return out
 
 
+def _remainder(f, g, p):
+    """f modulo the monic g over GF(p); coefficient lists, constant term first."""
+    f = [c % p for c in f]
+    d = len(g) - 1
+    while len(f) > d:
+        c = f.pop()                                  # x^len(f) = x^(len(f)-d) x^d
+        for i, gi in enumerate(g[:d]):
+            f[len(f) - d + i] = (f[len(f) - d + i] - c * gi) % p
+    return f
+
+
 def mul_slow(field, a, b):
     """a * b, as the product of polynomials over GF(p) reduced by the modulus."""
     field._check(a, b)
     p, h = field.p, field.h
-    fa = _ptrim([(a // p ** i) % p for i in range(h)])
-    fb = _ptrim([(b // p ** i) % p for i in range(h)])
-    fc = _pmod(_pmul(fa, fb, p), list(field.modulus), p)
+    product = [0] * (2 * h - 1)
+    for i, j in itertools.product(range(h), repeat=2):
+        product[i + j] += (a // p ** i % p) * (b // p ** j % p)
     out = 0
-    for c in reversed(fc):
+    for c in reversed(_remainder(product, field.modulus, p)):
         out = out * p + c
     return out
+
+
+def is_irreducible_oracle(coeffs, p) -> bool:
+    """A monic polynomial of degree h >= 1 over GF(p) is irreducible iff
+    every monic polynomial of degree 1 .. h // 2 leaves a nonzero remainder."""
+    h = len(coeffs) - 1
+    return all(any(_remainder(coeffs, tail + (1,), p))
+               for d in range(1, h // 2 + 1)
+               for tail in itertools.product(range(p), repeat=d))
 
 
 def pow_slow(field, a, e):

@@ -395,6 +395,17 @@ def test_recognize_repeated_image_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("token", ["+8", "0_8", "\u0668"])   # the last: Arabic-Indic 8
+def test_recognize_refuses_non_ascii_digit_tokens(token, tmp_path, capsys):
+    path = tmp_path / "perm.txt"
+    path.write_text(" ".join([*map(str, range(8)), token]) + "\n", encoding="utf-8")
+    code = cli.main(["recognize", "--p", "3", "--n", "2", "--perm-file", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.USAGE_ERROR, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(token) in err
+
+
 def test_recognize_missing_file_exits_2():
     res = run_cli("recognize", "--p", "3", "--h", "1", "--n", "3",
                   "--perm-file", "/nonexistent/x.txt")

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from intaut import Field, is_irreducible, least_irreducible
 from intaut.field import poly_str
-from oracles import (add_slow, field_tables_oracle, mul_slow, pow_slow,
-                     primitive_element_oracle)
+from oracles import (add_slow, field_tables_oracle, is_irreducible_oracle, mul_slow,
+                     pow_slow, primitive_element_oracle)
 
 SMALL_FIELDS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)]
 
@@ -60,6 +60,23 @@ def test_make_field_deterministic():
     a, b = Field(5, 2), Field(5, 2)
     assert a.modulus == b.modulus
     assert a == b
+
+
+@pytest.mark.parametrize("p,top", [(3, 6), (5, 4), (7, 3), (11, 3)])
+def test_is_irreducible_matches_trial_division(p, top):
+    """Every monic polynomial of degree 1 .. top, against the oracle.  Below
+    degree 5 the rank conditions alone decide; a quadratic times a cubic is
+    the least product that only X^(p^h) = X rejects."""
+    for h in range(1, top + 1):
+        for tail in itertools.product(range(p), repeat=h):
+            coeffs = tail + (1,)
+            assert is_irreducible(coeffs, p) == is_irreducible_oracle(coeffs, p), coeffs
+
+
+@pytest.mark.parametrize("p", [4294967311, 4294967357, 4294967371, 4294967377])
+def test_is_irreducible_where_int64_products_overflow(p):
+    """x^2 + 1 is irreducible iff -1 is a non-square, iff p = 3 (mod 4)."""
+    assert is_irreducible((1, 0, 1), p) == (p % 4 == 3)
 
 
 @pytest.mark.parametrize("p,h", SMALL_FIELDS)
@@ -118,6 +135,16 @@ def test_inv_of_zero_raises(f3):
         f3.inv(0)
 
 
+@pytest.mark.parametrize("p,h", [(7, 1), (3, 2)])
+def test_negative_power_is_the_inverse_power(p, h):
+    f = Field(p, h)
+    for a in range(1, f.q):
+        for e in range(1, 2 * f.q):
+            assert f.pow(a, -e) == f.inv(f.pow(a, e))
+    with pytest.raises(ZeroDivisionError):
+        f.pow(0, -1)
+
+
 def test_out_of_range_rejected(f3):
     with pytest.raises(ValueError):
         f3.add(3, 0)
@@ -132,6 +159,7 @@ OPS = {
     "neg": lambda f, a: f.neg(a),
     "add": lambda f, a: f.add(1, a),
     "mul": lambda f, a: f.mul(a, 1),
+    "square": lambda f, a: f.square(a),
 }
 
 

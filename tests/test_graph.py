@@ -320,12 +320,13 @@ def test_dimacs_rejects_garbage():
 
 
 def test_writers_reject_asymmetric_or_looped_matrices():
+    """So do the engine's two entry points: they take simple graphs only."""
     for adj in ([[0, 1, 0], [0, 0, 0], [0, 1, 1]],     # arc 3->2 and a loop at 3
                 [[0, 1], [0, 0]],
                 [[1]]):
-        for write in (graph6_bytes, dimacs_text):
-            with pytest.raises(ValueError):
-                write(adj)
+        for take in (graph6_bytes, dimacs_text, automorphism_group, refine_coloring):
+            with pytest.raises(ValueError, match="symmetric with an empty diagonal"):
+                take(adj)
 
 
 def test_graph6_rejects_bad_input():

@@ -181,6 +181,23 @@ def test_norm_agrees_with_distance_from_origin(f9):
         assert norm(f9, v) == distance(f9, v, (0, 0))
 
 
+def test_norm_and_distance_reject_out_of_range_coordinates(f3):
+    for bad in ((0, 3), (-1, 0), (0, 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            norm(f3, bad)
+        with pytest.raises(ValueError, match="out of range"):
+            distance(f3, bad, (0, 0))
+        with pytest.raises(ValueError, match="out of range"):
+            distance(f3, (0, 0), bad)
+
+
+def test_scalar_norms_never_build_mul():
+    f = Field(3, 8)
+    assert classify(f, (1, 2)) is SphereClass.SQUARE
+    assert is_integral(f, (1, 2), (5, 7))
+    assert "mul" not in vars(f.tables)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("p,h,modulus", [(3, 1, None), (7, 1, None), (3, 2, (2, 2, 1)),
                                          (5, 2, (2, 1, 1)), (3, 3, (1, 0, 2, 1))])

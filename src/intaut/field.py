@@ -153,6 +153,8 @@ class FieldTables:
     is_square: np.ndarray  # q, bool, zero counted as a square
     frob: np.ndarray       # h x q, frob[i][a] = a^(p^i)
     square_of: np.ndarray  # q, square_of[a] = a*a
+    power: np.ndarray      # q - 1, power[e] = g^e for the primitive element g
+    log: np.ndarray        # q, int64, power[log[a]] = a for a != 0; log[0] = 0
     mul_from: InitVar      # () -> the read-only mul table
 
     def __post_init__(self, mul_from):
@@ -261,18 +263,15 @@ class Field:
         return self.tables.inv.item(a)
 
     def pow(self, a: int, e: int) -> int:
-        """a^e; for e < 0, the inverse of a to the -e."""
+        """a^e; for e < 0, the inverse of a to the -e.  For a != 0 it is
+        g^(e log a) for the primitive element g, so no product is taken."""
         self._check(a)
-        if e < 0:
-            a, e = self.inv(a), -e
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero in a finite field")
+            return 1 if e == 0 else 0
+        tables = self.tables
+        return tables.power.item(tables.log.item(a) * e % (self.q - 1))
 
     def frobenius(self, a: int, i: int) -> int:
         """a^(p^i); the i-th power of the field automorphism x -> x^p."""
@@ -350,8 +349,9 @@ class Field:
         a primitive element g are doubled with the matrix of x -> g x: the
         rows g^0 .. g^(k-1), times that matrix to the k, are g^k .. g^(2k-1).
         neg, inv, frob and square_of then gather from the powers by logs;
-        -1 is g^((q-1)/2), so neg adds (q-1)/2 to each log.  mul is left to
-        _mul_table, on its first read."""
+        -1 is g^((q-1)/2), so neg adds (q-1)/2 to each log.  The powers and
+        logs are kept as tables too, for pow.  mul is left to _mul_table, on
+        its first read."""
         q, p, h = self.q, self.p, self.h
         add = _square_zeros(q)
         digits = np.arange(p, dtype=np.int32)
@@ -382,9 +382,9 @@ class Field:
         square_of = power[2 * log % order]
         neg[0] = inv[0] = frob[:, 0] = square_of[0] = 0
         is_square = log % 2 == 0                         # zero included, by log[0]
-        for arr in (add, neg, inv, is_square, frob, square_of):
+        for arr in (add, neg, inv, is_square, frob, square_of, power, log):
             arr.setflags(write=False)
-        return FieldTables(add, neg, inv, is_square, frob, square_of,
+        return FieldTables(add, neg, inv, is_square, frob, square_of, power, log,
                            functools.partial(_mul_table, power, log))
 
     def __eq__(self, other):

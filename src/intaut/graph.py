@@ -488,8 +488,12 @@ def graph6_bytes(graph) -> bytes:
         header = bytes([126, 126]) + _graph6_chunks(num, 6)
     bits = adj.T[np.tri(num, num, -1, dtype=bool)]   # adj[i, j] for i < j, by j
     bits = np.concatenate([bits, np.zeros(-bits.size % 6, dtype=bool)])
-    body = np.packbits(bits.reshape(-1, 6), axis=1).ravel() >> 2
-    return header + (body + np.uint8(63)).tobytes() + b"\n"
+    body = bits.view(np.uint8).reshape(-1, 6) @ _GRAPH6_WEIGHTS
+    body += np.uint8(63)
+    return header + body.tobytes() + b"\n"
+
+
+_GRAPH6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 
 def _graph6_chunks(value: int, count: int) -> bytes:
@@ -500,17 +504,22 @@ def _graph6_chunks(value: int, count: int) -> bytes:
 
 
 def parse_graph6(data) -> np.ndarray:
-    if isinstance(data, bytes):
-        data = data.decode("ascii")
-    line = data.strip()
-    if line.startswith(">>graph6<<"):
-        line = line[len(">>graph6<<"):]
+    """Adjacency matrix of a graph6 line (str or bytes).
+
+    ASCII whitespace (space, \\t, \\n, \\r, \\v, \\f) around the line and a
+    leading >>graph6<< are dropped; every other character must lie in
+    63..126, so any non-ASCII one is an invalid graph6 character in either
+    form."""
+    if isinstance(data, str):
+        if not data.isascii():
+            raise ValueError("invalid graph6 character")
+        data = data.encode("ascii")
+    line = bytes(data).strip()                      # ASCII whitespace only
+    if line.startswith(b">>graph6<<"):
+        line = line[len(b">>graph6<<"):]
     if not line:
         raise ValueError("empty graph6 input")
-    try:
-        codes = np.frombuffer(line.encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        raise ValueError("invalid graph6 character") from None
+    codes = np.frombuffer(line, dtype=np.uint8)
     if ((codes < 63) | (codes > 126)).any():
         raise ValueError("invalid graph6 character")
     codes = codes - np.uint8(63)
@@ -532,39 +541,62 @@ def parse_graph6(data) -> np.ndarray:
     if len(codes) - pos != payload:
         raise ValueError(f"graph6 payload of {num} vertices must be {payload} "
                          f"bytes, got {len(codes) - pos}")
-    bits = np.unpackbits(codes[pos:, None], axis=1)[:, 2:].ravel()
+    bits = np.unpackbits(codes[pos:]).reshape(-1, 8)[:, 2:].ravel()
     if bits[needed:].any():
         raise ValueError("graph6 padding bits must be zero")
     adj = np.zeros((num, num), dtype=bool)
     adj.T[np.tri(num, num, -1, dtype=bool)] = bits[:needed]
-    return adj | adj.T
+    adj |= adj.T
+    return adj
 
 
 def dimacs_text(graph) -> str:
     """DIMACS edge format: p-line then one 1-indexed e-line per edge, u < v,
     in row-major order.
 
-    Every e-line is laid out at one fixed width: 'e', a space, U, a space, V
-    and a newline, each label right-aligned in as many bytes as N has digits
-    and padded with zero bytes.  The padded labels 1..N form a table whose
-    rows are gathered as one fixed-size item per endpoint, and dropping the
-    zero bytes from the laid-out lines leaves the text.
+    Every e-line is laid out at one fixed width, in two parts: the head
+    'e', a space, U and a space, and the tail V and a newline, each label
+    right-aligned in as many bytes as N has digits and padded with zero
+    bytes.  The lines are laid out in blocks of whole rows, about
+    DIMACS_CHUNK bytes each, so every temporary stays small: a block
+    repeats each row's head by the row's number of edges and gathers one
+    tail per edge by V, drops the zero bytes and decodes what is left.  The
+    text is the p-line and the blocks, joined.
     """
     adj = _as_matrix(graph)
     num = adj.shape[0]
-    u, v = np.divmod(np.flatnonzero(np.triu(adj, 1)), num)
+    upper = np.greater(adj, np.tri(num, num, dtype=bool))    # the edges u < v
+    degrees = np.count_nonzero(upper, axis=1)
     width = len(str(num))
     labels = np.arange(1, num + 1)[:, None]
     powers = 10 ** np.arange(width - 1, -1, -1)
-    table = np.where(labels >= powers, labels // powers % 10 + ord("0"), 0)
-    table = table.astype(np.uint8).view(f"V{width}").ravel()
-    lines = np.empty((u.size, 2 * width + 4), dtype=np.uint8)
-    lines[:, 0] = ord("e")
-    lines[:, 1] = lines[:, width + 2] = ord(" ")
-    lines[:, -1] = ord("\n")
-    lines[:, 2:width + 2] = table[u].view(np.uint8).reshape(-1, width)
-    lines[:, width + 3:-1] = table[v].view(np.uint8).reshape(-1, width)
-    return f"p edge {num} {u.size}\n" + lines[lines != 0].tobytes().decode("ascii")
+    digits = np.where(labels >= powers, labels // powers % 10 + ord("0"), 0)
+    heads = np.empty((num, width + 3), dtype=np.uint8)
+    heads[:, 0], heads[:, 1], heads[:, -1] = ord("e"), ord(" "), ord(" ")
+    heads[:, 2:-1] = digits
+    tails = np.empty((num, width + 1), dtype=np.uint8)
+    tails[:, :-1] = digits
+    tails[:, -1] = ord("\n")
+    heads = heads.view(f"V{width + 3}").ravel()
+    tails = tails.view(f"V{width + 1}").ravel()
+    line = np.dtype([("u", heads.dtype), ("v", tails.dtype)])
+    # a block ends after the row in which its edge count reaches the block size
+    ends = np.cumsum(degrees)
+    count = int(ends[-1]) if num else 0
+    size = max(DIMACS_CHUNK // line.itemsize, 1)
+    cuts = np.searchsorted(ends, np.arange(size, count, size)) + 1
+    cuts = [0, *cuts.tolist(), num]
+    text = [f"p edge {num} {count}\n"]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        v = np.flatnonzero(upper[a:b])
+        np.remainder(v, num, out=v)
+        lines = np.empty(v.size, dtype=line)
+        lines["u"] = np.repeat(heads[a:b], degrees[a:b])
+        # the indices are in range; "clip" only lets take write in place
+        np.take(tails, v, out=lines["v"], mode="clip")
+        raw = lines.view(np.uint8)
+        text.append(str(raw[raw != 0], "ascii"))
+    return "".join(text)
 
 
 # numbers with a nonzero digit at 10^18 or above exceed any vertex count
@@ -593,44 +625,76 @@ def parse_dimacs(text) -> np.ndarray:
     distinct edges.  Anything else raises ValueError, and so does a size N
     whose matrix cannot be allocated.
 
-    The text is read in chunks of about DIMACS_CHUNK bytes that end at a line
-    break, so the per-byte temporaries stay small: bytes are classified by
-    comparisons, and numbers are read a decimal place at a time over all
-    fields of a chunk.  Every edge is checked before the matrix is allocated.
+    The text is read in chunks of about DIMACS_CHUNK bytes that end at their
+    last line break, so the per-byte temporaries stay small, and a str is
+    encoded one chunk at a time; the search for that break starts after the
+    last newline.  In a chunk, bytes are classified by comparisons, fields
+    are bounded where the class of a byte differs from the one before it,
+    and numbers are read a decimal place at a time over all U and V fields.
+    Every edge is checked before the matrix is allocated; then each chunk's
+    edges are set by one scatter of flat indices (U - 1) N + V - 1, and the
+    transpose completes the matrix.
     """
     if isinstance(text, str):
-        try:
-            text = text.encode("ascii")
-        except UnicodeEncodeError:
-            raise ValueError("DIMACS input must be ASCII") from None
-    buf = np.frombuffer(text + b"\n", dtype=np.uint8)
-    if buf.max() >= 128:
-        raise ValueError("DIMACS input must be ASCII")
+        if not text.isascii():
+            raise ValueError("DIMACS input must be ASCII")
+        newline = "\n"
+
+        def window(a, b):
+            return np.frombuffer(text[a:b].encode("ascii"), dtype=np.uint8)
+    else:
+        text = bytes(text)
+        buf = np.frombuffer(text, dtype=np.uint8)
+        if buf.size and buf.max() >= 128:
+            raise ValueError("DIMACS input must be ASCII")
+        newline = b"\n"
+
+        def window(a, b):
+            return buf[a:b]
     problem = None
     edges = []
+    loop = False
+    size = len(text) + 1                  # read as if one more newline ended it
     start = 0
-    while start < buf.size:
+    while start < size:
         width = DIMACS_CHUNK
-        breaks = _dimacs_breaks(buf[start:start + width])
-        while not breaks.any():           # a line longer than the chunk
-            width *= 2
-            breaks = _dimacs_breaks(buf[start:start + width])
-        stop = start + breaks.size - int(breaks[::-1].argmax())
-        problem, uv = _dimacs_chunk(buf[start:stop], breaks[:stop - start], problem)
+        while start + width < size:
+            # cut after the window's last break, which follows its last
+            # newline when it has one
+            end = start + width
+            after = text.rfind(newline, start, end) + 1 or start
+            tail = _dimacs_breaks(window(after, end))
+            if tail.any():
+                stop = end - int(tail[::-1].argmax())
+                break
+            if after > start:
+                stop = after
+                break
+            width *= 2                    # a line longer than the window
+        else:
+            stop = size
+        chunk = window(start, stop) if stop < size else np.append(
+            window(start, size - 1), np.uint8(ord("\n")))
+        problem, uv = _dimacs_chunk(chunk, problem)
+        loop = loop or bool((uv[0] == uv[1]).any())
         edges.append(uv)
         start = stop
     if problem is None:
         raise ValueError("DIMACS input has no problem line")
     num, declared = problem
-    u, v = np.concatenate(edges, axis=1)
-    if (u == v).any():
+    if loop:
         raise ValueError("DIMACS input has a self-loop")
     try:
         adj = np.zeros((num, num), dtype=bool)
     except MemoryError:
         raise ValueError(f"a DIMACS graph of {num} vertices does not fit "
                          f"in memory") from None
-    adj[u, v] = adj[v, u] = True
+    for u, v in edges:
+        flat = np.multiply(u, num, dtype=np.intp)
+        flat += v
+        flat -= num + 1                               # (U - 1) N + V - 1
+        adj.ravel()[flat] = True
+    adj |= adj.T
     found = np.count_nonzero(adj) // 2
     if found != declared:
         raise ValueError(f"DIMACS problem line declares {declared} edges, "
@@ -638,32 +702,40 @@ def parse_dimacs(text) -> np.ndarray:
     return adj
 
 
-def _dimacs_chunk(chunk, breaks, problem):
-    """Check the lines of one chunk and return the (N, M) of the problem
-    line read so far (or None) and the chunk's edges as a 2 x k array of
-    0-based endpoints.
-
-    `breaks` marks the chunk's line breaks; the chunk ends with one.
-    """
-    space = breaks | (chunk == 9) | ((chunk - np.uint8(31)) <= 1)   # tab, 0x1f, ' '
-    bounds = np.flatnonzero(np.diff(space, prepend=True, append=True))
+def _dimacs_chunk(chunk, problem):
+    """Check the lines of one chunk, which ends with a line break, and
+    return the (N, M) of the problem line read so far (or None) and the
+    chunk's edges as a 2 x k array of 1-based endpoints, U in row 0 and V
+    in row 1."""
+    breaks = _dimacs_breaks(chunk)
+    # space[i + 1]: chunk[i] separates fields; space[0] stands for a break
+    space = np.empty(chunk.size + 1, dtype=bool)
+    space[0] = True
+    np.logical_or(breaks, (chunk == 9) | ((chunk - np.uint8(31)) <= 1), out=space[1:])
+    # field j is chunk[bounds[2j]:bounds[2j + 1]]
+    bounds = np.flatnonzero(space[1:] != space[:-1])
     starts, ends = bounds[0::2], bounds[1::2]
     # a field heads its line when it is the chunk's first or a break lies in
     # the gap before it: the byte before it when the gap is one byte wide,
-    # else the breaks counted on either side of the gap
-    heads = breaks[starts - 1]
+    # else the breaks counted on either side of the gap.  A gap is wider
+    # when the chunk has more separator bytes than separator runs.
+    before = starts - 1
+    heads = breaks[before]
     heads[:1] = True
-    wide = np.flatnonzero(starts[1:] - ends[:-1] > 1) + 1
-    if wide.size:
+    if np.count_nonzero(space) > starts.size + int(space[1]) + 1:
+        wide = space[before]                     # chunk[start - 2] separates too
+        wide[:1] = False
+        wide = np.flatnonzero(wide)
         line_ends = np.flatnonzero(breaks)
         heads[wide] = (np.searchsorted(line_ends, starts[wide])
                        > np.searchsorted(line_ends, ends[wide - 1]))
     heads = np.flatnonzero(heads)
-    fields = np.diff(heads, append=starts.size)
-    first = chunk[starts[heads]]
-    single = ends[heads] == starts[heads] + 1
-    kept = first != ord("c")
-    heads, fields, first, single = heads[kept], fields[kept], first[kept], single[kept]
+    fields = np.empty_like(heads)                # the number of fields per line
+    np.subtract(heads[1:], heads[:-1], out=fields[:-1])
+    fields[-1:] = starts.size - heads[-1:]
+    at = starts[heads]
+    first = chunk[at]
+    single = space[at + 2]                       # the first field is one byte
 
     def text(k):
         a, b = heads[k], heads[k] + fields[k] - 1
@@ -671,7 +743,7 @@ def _dimacs_chunk(chunk, breaks, problem):
 
     is_edge = single & (first == ord("e"))
     is_problem = single & (first == ord("p"))
-    unknown = np.flatnonzero(~is_edge & ~is_problem)
+    unknown = np.flatnonzero(~(is_edge | is_problem | (first == ord("c"))))
     if unknown.size:
         raise ValueError(f"unknown DIMACS line: {text(unknown[0])!r}")
     for k in np.flatnonzero(is_problem).tolist():
@@ -685,42 +757,57 @@ def _dimacs_chunk(chunk, breaks, problem):
             raise ValueError(f"bad DIMACS problem line: {text(k)!r}")
         problem = int(parts[2]), int(parts[3])
     if not is_edge.any():
-        return problem, np.zeros((2, 0), dtype=np.int64)
+        return problem, np.zeros((2, 0), dtype=np.int32)
     if problem is None:
         raise ValueError("DIMACS edge before problem line")
     bad = np.flatnonzero(is_edge & (fields != 3))
     if bad.size:
         raise ValueError(f"bad DIMACS edge line: {text(bad[0])!r}")
-    uv = heads[is_edge][:, None] + [1, 2]               # the U and V fields
-    uv = _dimacs_numbers(chunk, starts[uv].ravel(), ends[uv].ravel())
-    if uv.min() < 1 or uv.max() > problem[0]:
+    uv = heads[is_edge] + _UV                    # the U and V fields
+    uv = _dimacs_numbers(chunk, starts[uv], ends[uv])
+    if uv.min() < 1 or int(uv.max()) > problem[0]:
         raise ValueError(f"DIMACS edge out of range: endpoints must lie in "
                          f"[1, {problem[0]}]")
-    return problem, uv.reshape(-1, 2).T - 1
+    return problem, uv
+
+
+_UV = np.array([[1], [2]])
 
 
 def _dimacs_numbers(chunk, starts, ends):
-    """The decimal numbers in chunk[starts[i]:ends[i]], as int64, or
-    ValueError unless every field is ASCII digits below 10^18.
+    """The decimal numbers in chunk[starts[i]:ends[i]], in an array of the
+    bounds' shape, or ValueError unless every field is ASCII digits below
+    10^18.  The values are int32 when no field is longer than 9 digits,
+    else int64.
 
     One gather per decimal place reads that digit of every field, highest
-    place first; a field shorter than the place reads a masked 0 (its index
-    may wrap below the chunk).  Only the rare fields longer than 18 digits
-    are read above that, and there every byte must be a 0.
+    place first.  From the shortest field's length up, a field shorter than
+    the place reads a masked 0 (its index may be clipped to the chunk's
+    start).  Only the rare fields longer than 18 digits are read above that,
+    and there every byte must be a 0.
     """
     lengths = ends - starts
-    values = np.zeros(starts.size, dtype=np.int64)
-    for place in range(min(int(lengths.max()), _DIMACS_PLACES) - 1, -1, -1):
-        digits = chunk[ends - (place + 1)] - np.uint8(ord("0"))
-        digits *= lengths > place
-        if (digits > 9).any():
-            raise ValueError("DIMACS numbers must be runs of ASCII digits")
+    longest = int(lengths.max())
+    places = min(longest, _DIMACS_PLACES)
+    shortest = int(lengths.min())
+    values = np.zeros(ends.shape, dtype=np.int32 if places <= 9 else np.int64)
+    top = np.zeros(ends.shape, dtype=np.uint8)           # the largest digit read
+    at = ends - places
+    for place in range(places - 1, -1, -1):
+        digits = np.take(chunk, at, mode="clip")
+        digits -= np.uint8(ord("0"))
+        if place >= shortest:
+            digits *= lengths > place
+        np.maximum(top, digits, out=top)
         values *= 10
         values += digits
-    wide = np.flatnonzero(lengths > _DIMACS_PLACES)
-    if wide.size:
-        high = np.concatenate([chunk[a:b] for a, b in zip(
-            starts[wide].tolist(), (ends[wide] - _DIMACS_PLACES).tolist())])
+        at += 1
+    if top.max() > 9:
+        raise ValueError("DIMACS numbers must be runs of ASCII digits")
+    if longest > _DIMACS_PLACES:
+        wide = np.flatnonzero(lengths > _DIMACS_PLACES)
+        high = np.concatenate([chunk[a:b - _DIMACS_PLACES] for a, b in zip(
+            starts.ravel()[wide].tolist(), ends.ravel()[wide].tolist())])
         if ((high - np.uint8(ord("0"))) > 9).any():
             raise ValueError("DIMACS numbers must be runs of ASCII digits")
         if (high != ord("0")).any():

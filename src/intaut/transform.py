@@ -244,14 +244,18 @@ def write_permutation_file(path, perm):
 
 
 def read_permutation_file(path, expected_size=None) -> tuple:
-    """The images in a permutation file; each must be a run of ASCII digits."""
+    """The images in a permutation file; each must be a run of ASCII digits.
+
+    Tokens are separated by ASCII whitespace (space, \\t, \\n, \\r, \\v, \\f)
+    only, so a non-ASCII space stays inside its token and makes it
+    malformed."""
     tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
+            fields = line.encode("utf-8").split()    # at ASCII whitespace only
+            if not fields or fields[0].startswith(b"#"):
                 continue
-            tokens.extend(line.split())
+            tokens.extend(field.decode("utf-8") for field in fields)
     for t in tokens:
         if not (t.isascii() and t.isdigit()):
             raise ValueError(f"malformed permutation file {path}: "

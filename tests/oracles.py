@@ -125,9 +125,10 @@ def field_tables_oracle(field) -> FieldTables:
     square_of = power[2 * log % order]
     inv[0] = frob[:, 0] = square_of[0] = 0
     is_square = log % 2 == 0                         # zero included, by log[0]
-    for arr in (add, mul, neg, inv, is_square, frob, square_of):
+    for arr in (add, mul, neg, inv, is_square, frob, square_of, power, log):
         arr.setflags(write=False)
-    return FieldTables(add, neg, inv, is_square, frob, square_of, lambda: mul)
+    return FieldTables(add, neg, inv, is_square, frob, square_of, power, log,
+                       lambda: mul)
 
 
 def norm_array_oracle(field, n: int) -> np.ndarray:

@@ -406,6 +406,19 @@ def test_recognize_refuses_non_ascii_digit_tokens(token, tmp_path, capsys):
     assert repr(token) in err
 
 
+@pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\x1c"])
+def test_recognize_splits_only_at_ascii_whitespace(space, tmp_path, capsys):
+    """With the space between 0 and 1 not ASCII whitespace, "0<space>1" is
+    one malformed token, not the first two images of the identity."""
+    path = tmp_path / "perm.txt"
+    path.write_text("0" + space + "1 2 3 4 5 6 7 8\n", encoding="utf-8")
+    code = cli.main(["recognize", "--p", "3", "--n", "2", "--perm-file", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.USAGE_ERROR, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr("0" + space + "1") in err
+
+
 def test_recognize_missing_file_exits_2():
     res = run_cli("recognize", "--p", "3", "--h", "1", "--n", "3",
                   "--perm-file", "/nonexistent/x.txt")

@@ -145,6 +145,28 @@ def test_negative_power_is_the_inverse_power(p, h):
         f.pow(0, -1)
 
 
+@pytest.mark.parametrize("p,h", [(7, 1), (3, 2), (3, 4)])
+def test_pow_matches_polynomial_arithmetic(p, h):
+    """For e < 0 the reference is the -e-th power of a^(q-2), the inverse."""
+    f = Field(p, h)
+    for a in range(f.q):
+        for e in range(-10, 11):
+            if e < 0 and a == 0:
+                with pytest.raises(ZeroDivisionError):
+                    f.pow(a, e)
+            elif e < 0:
+                assert f.pow(a, e) == pow_slow(f, pow_slow(f, a, f.q - 2), -e)
+            else:
+                assert f.pow(a, e) == pow_slow(f, a, e)
+
+
+def test_pow_does_not_build_mul():
+    f = Field(3, 8)
+    assert f.pow(2, 5) == pow_slow(f, 2, 5)
+    assert f.pow(f.q - 1, -3) == pow_slow(f, pow_slow(f, f.q - 1, f.q - 2), 3)
+    assert "mul" not in vars(f.tables)
+
+
 def test_out_of_range_rejected(f3):
     with pytest.raises(ValueError):
         f3.add(3, 0)

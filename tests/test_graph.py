@@ -341,6 +341,23 @@ def test_graph6_rejects_bad_input():
             parse_graph6(data)
 
 
+@pytest.mark.parametrize("text", ["@ ", " @", "@\u0085", "é",
+                                  ">>graph6<<@ ", "@\x1c"])
+def test_graph6_refuses_non_ascii_whitespace_in_both_forms(text):
+    """Only ASCII whitespace around the line is dropped; a non-ASCII
+    character is an invalid graph6 character whether it comes as str or as
+    its UTF-8 bytes."""
+    for data in (text, text.encode("utf-8")):
+        with pytest.raises(ValueError, match="^invalid graph6 character$"):
+            parse_graph6(data)
+
+
+def test_graph6_strips_ascii_whitespace_in_both_forms():
+    for text in ["@", " @\n", "\t@\r\n", "\x0b\x0c@ ", ">>graph6<<@\n"]:
+        for data in (text, text.encode("ascii")):
+            assert parse_graph6(data).shape == (1, 1)
+
+
 @st.composite
 def small_graphs(draw):
     m = draw(st.integers(0, 40))

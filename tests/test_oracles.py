@@ -696,6 +696,19 @@ print("numpy.ma" in sys.modules)
 """
 
 
+INTERCHANGE = """
+import sys
+import numpy as np
+from intaut import Field, graph
+adj = graph.build_integral_graph(Field(3), 3).adjacency
+inv = np.argsort(np.random.default_rng(5).permutation(adj.shape[0]))
+adj = adj[inv][:, inv]
+assert np.array_equal(graph.parse_dimacs(graph.dimacs_text(adj)), adj)
+assert np.array_equal(graph.parse_graph6(graph.graph6_bytes(adj)), adj)
+print("numpy.ma" in sys.modules)
+"""
+
+
 def imports_numpy_ma_cold(script):
     """Whether `script`, run in a fresh interpreter, leaves numpy.ma imported."""
     src = str(Path(intaut.__file__).resolve().parents[1])
@@ -715,6 +728,11 @@ def test_hot_paths_do_not_import_numpy_ma():
 def test_search_on_a_relabeled_graph_does_not_import_numpy_ma():
     """The search's orbit masks, splits and replays stay off np.unique."""
     assert not imports_numpy_ma_cold(VERIFY_AND_SEARCH)
+
+
+def test_interchange_round_trips_do_not_import_numpy_ma():
+    """Every aut-ladder instance writes and reads both formats."""
+    assert not imports_numpy_ma_cold(INTERCHANGE)
 
 
 # -- DIMACS -----------------------------------------------------------------------
@@ -804,6 +822,42 @@ def test_dimacs_parser_matches_oracle(data):
             assert expected is None or int_beyond_digits(data)
         else:
             assert expected is not None and np.array_equal(adj, expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DIMACS_LIKE, st.integers(1, 64))
+@example(b"p edge 3 2\ne 1 2\n e 2 3\n", 64)     # one gap of two bytes, break first
+@example(b"p edge 3 2\ne 1 2 \ne 2 3\n", 64)     # the same, break last
+@example(b"p edge 3 2\ne 1 2\n e 2 3\n", 9)
+@example(b"p edge 3 1\re 1 2\x0be 1 2", 5)       # no newline, no final break
+def test_dimacs_parser_matches_oracle_at_every_chunk_size(data, chunk):
+    """Chunks of 1 to 64 bytes put chunk ends next to every kind of byte:
+    inside fields and gaps, at each line end, before an unterminated last
+    line.  The parser must read the text as the oracle does regardless."""
+    try:
+        expected = parse_dimacs_oracle(data)
+    except ValueError:
+        expected = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "DIMACS_CHUNK", chunk)
+        for form in (data, data.decode("ascii")):
+            try:
+                adj = graph.parse_dimacs(form)
+            except ValueError:
+                assert expected is None or int_beyond_digits(data)
+            else:
+                assert expected is not None and np.array_equal(adj, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(), st.integers(1, 64))
+def test_dimacs_round_trip_at_every_chunk_size(adj, chunk):
+    """The writer lays lines out in blocks of about DIMACS_CHUNK bytes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "DIMACS_CHUNK", chunk)
+        text = graph.dimacs_text(adj)
+        assert text == dimacs_text_oracle(adj)
+        assert np.array_equal(graph.parse_dimacs(text), adj)
 
 
 def test_dimacs_parser_narrowed_inputs():

@@ -329,13 +329,25 @@ def automorphism_group(graph) -> AutGroupResult:
         order, bnd = _individualize(cols, order, bnd, a, b, v, record=traces[-1])
         path.append((order, bnd))
     leaf_order = order
+    mapped = np.empty((num, num), dtype=bool)
+    back = np.empty((num, num), dtype=bool)
+    same = np.empty((num, num), dtype=bool)
 
     def leaf(order):
         """The permutation mapping the path's leaf onto a discrete `order`
-        position by position, if it is an automorphism."""
+        position by position, if it is an automorphism.
+
+        With inv its inverse, adj[perm][:, perm] == adj iff adj[perm] ==
+        adj[inv]^T, adj being symmetric: two row gathers and a transposed
+        compare into buffers shared by all leaves, no column gather."""
         perm = np.empty(num, dtype=np.int64)
         perm[leaf_order] = order
-        return perm if np.array_equal(np.take(adj[perm], perm, axis=1), adj) else None
+        inv = np.empty(num, dtype=np.int64)
+        inv[order] = leaf_order
+        np.take(adj, perm, axis=0, out=mapped, mode="clip")
+        np.take(adj, inv, axis=0, out=back, mode="clip")
+        np.equal(mapped, back.T, out=same)
+        return perm if same.all() else None
 
     def extend(depth, order, bnd):
         """Search for one automorphism extending the current branch."""
@@ -405,6 +417,9 @@ def automorphism_group(graph) -> AutGroupResult:
                 orbit = orbit_of(b)
         group_order *= int(np.count_nonzero(orbit))
 
+    # extend reaches itself through its closure; break that cycle so the
+    # leaf buffers and cols are freed on return, not at a later collection
+    extend = None
     gens = tuple(tuple(g.tolist()) for g in generators)
     return AutGroupResult(group_order, gens, node_count)
 
@@ -623,7 +638,10 @@ def parse_dimacs(text) -> np.ndarray:
     N, M, U and V are runs of ASCII digits; leading zeros are allowed.
     Repeated and reversed edges count once, and M must equal the number of
     distinct edges.  Anything else raises ValueError, and so does a size N
-    whose matrix cannot be allocated.
+    whose matrix cannot be allocated.  Of several faulty lines the first in
+    text order is reported, whatever the chunking below; a self-loop, a
+    missing problem line and the edge count are checked once every line
+    has passed.
 
     The text is read in chunks of about DIMACS_CHUNK bytes that end at their
     last line break, so the per-byte temporaries stay small, and a str is
@@ -706,7 +724,9 @@ def _dimacs_chunk(chunk, problem):
     """Check the lines of one chunk, which ends with a line break, and
     return the (N, M) of the problem line read so far (or None) and the
     chunk's edges as a 2 x k array of 1-based endpoints, U in row 0 and V
-    in row 1."""
+    in row 1.  A fault raises ValueError with the message of the chunk's
+    first faulty line: the line faults found by masks give a first
+    candidate, and only the edge lines before it are read as numbers."""
     breaks = _dimacs_breaks(chunk)
     # space[i + 1]: chunk[i] separates fields; space[0] stands for a break
     space = np.empty(chunk.size + 1, dtype=bool)
@@ -743,31 +763,63 @@ def _dimacs_chunk(chunk, problem):
 
     is_edge = single & (first == ord("e"))
     is_problem = single & (first == ord("p"))
+    edges = np.flatnonzero(is_edge)
+    # candidate faults as (line, message); the first line in text order is
+    # reported, and of two faults on one line the one listed first
+    faults = []
     unknown = np.flatnonzero(~(is_edge | is_problem | (first == ord("c"))))
     if unknown.size:
-        raise ValueError(f"unknown DIMACS line: {text(unknown[0])!r}")
+        faults.append((unknown[0], f"unknown DIMACS line: {text(unknown[0])!r}"))
     for k in np.flatnonzero(is_problem).tolist():
+        if problem is None and edges.size and edges[0] < k:
+            break                             # the edge line before it is at fault
         if problem is not None:
-            raise ValueError(f"second DIMACS problem line: {text(k)!r}")
-        if is_edge[:k].any():
-            raise ValueError("DIMACS edge before problem line")
+            faults.append((k, f"second DIMACS problem line: {text(k)!r}"))
+            break
         parts = text(k).split()
         if len(parts) != 4 or parts[1] != "edge" or not all(
                 x.isdigit() for x in parts[2:]):
-            raise ValueError(f"bad DIMACS problem line: {text(k)!r}")
+            faults.append((k, f"bad DIMACS problem line: {text(k)!r}"))
+            break
         problem = int(parts[2]), int(parts[3])
-    if not is_edge.any():
-        return problem, np.zeros((2, 0), dtype=np.int32)
-    if problem is None:
-        raise ValueError("DIMACS edge before problem line")
+    if problem is None and edges.size:
+        faults.append((edges[0], "DIMACS edge before problem line"))
     bad = np.flatnonzero(is_edge & (fields != 3))
     if bad.size:
-        raise ValueError(f"bad DIMACS edge line: {text(bad[0])!r}")
-    uv = heads[is_edge] + _UV                    # the U and V fields
-    uv = _dimacs_numbers(chunk, starts[uv], ends[uv])
-    if uv.min() < 1 or int(uv.max()) > problem[0]:
-        raise ValueError(f"DIMACS edge out of range: endpoints must lie in "
-                         f"[1, {problem[0]}]")
+        faults.append((bad[0], f"bad DIMACS edge line: {text(bad[0])!r}"))
+    stop, message = min(faults, key=lambda f: f[0], default=(heads.size, None))
+    edges = edges[edges < stop]       # well formed, after a good problem line
+
+    def read(lines):
+        """U and V of the given edge lines, or ValueError."""
+        uv = heads[lines] + _UV                  # the U and V fields
+        uv = _dimacs_numbers(chunk, starts[uv], ends[uv])
+        if uv.min() < 1 or int(uv.max()) > problem[0]:
+            raise ValueError(f"DIMACS edge out of range: endpoints must lie in "
+                             f"[1, {problem[0]}]")
+        return uv
+
+    if not edges.size:
+        uv = np.zeros((2, 0), dtype=np.int32)
+    else:
+        try:
+            uv = read(edges)
+        except ValueError:
+            # a line fails alone iff it makes a prefix fail: bisect for the
+            # first, whose own message is the one reported
+            lo, hi = 0, edges.size                # edges[:lo] pass, edges[:hi] fail
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    read(edges[:mid])
+                except ValueError:
+                    hi = mid
+                else:
+                    lo = mid
+            read(edges[lo:hi])
+            raise
+    if message is not None:
+        raise ValueError(message)
     return problem, uv
 
 

@@ -4,6 +4,7 @@ scalar-orthogonal group, and orbital-graph connectivity."""
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,21 +92,33 @@ def m_generators(field: Field, n: int) -> list:
     by a single primitive scalar map.  Full matrix enumeration is avoided on
     purpose: it is infeasible already for moderate n even when q^n is small.
 
+    When the q^n images of every generator would exceed
+    space.MAX_BULK_ENTRIES it raises TooLargeError, on every call; below
+    that the rows are views of one cached read-only array (`_m_images`).
+    """
+    total = space.num_points(field, n)
+    anisotropic = np.count_nonzero(space._norm_array(field, n))
+    count = anisotropic // (field.q - 1) + 1         # classes and the scalar
+    if count * total > space.MAX_BULK_ENTRIES:
+        raise TooLargeError(
+            f"{count} generators on {total} points exceed the bulk bound")
+    return list(_m_images(field, n))
+
+
+@functools.lru_cache(maxsize=space.CACHE_SIZE)
+def _m_images(field: Field, n: int) -> np.ndarray:
+    """Read-only array of the m_generators images, the scalar map first.
+
     A class is represented by its point with leading coordinate 1, and the
     classes come in the order of their least point index.  All reflection
     matrices I - (2 / <v,v>) v v^T are formed at once and mapped to
-    permutations in one batch.  When the q^n images of every generator would
-    exceed space.MAX_BULK_ENTRIES it raises TooLargeError instead.
+    permutations in one batch.
     """
     total = space.num_points(field, n)
     tb = field.tables
     points = space.point_matrix(field, n)
     norms = space._norm_array(field, n)
     ks = np.flatnonzero(norms)                       # the anisotropic points
-    count = ks.size // (field.q - 1) + 1             # classes and the scalar
-    if count * total > space.MAX_BULK_ENTRIES:
-        raise TooLargeError(
-            f"{count} generators on {total} points exceed the bulk bound")
     pts = points[ks]
     lead = pts[np.arange(ks.size), (pts != 0).argmax(axis=1)]
     unit = tb.mul[tb.inv[lead][:, None], pts] @ field.q ** np.arange(n)
@@ -119,7 +132,9 @@ def m_generators(field: Field, n: int) -> list:
     reflections = tb.add[tb.neg[tb.mul[coef[:, :, None], v[:, None, :]]], eye]
     scalar = eye * field.primitive_element()
     matrices = np.concatenate((scalar[None], reflections))
-    return list(transform.map_permutation_array(field, n, 1, 0, matrices, (0,) * n))
+    images = transform.map_permutation_array(field, n, 1, 0, matrices, (0,) * n)
+    images.setflags(write=False)
+    return images
 
 
 def semiaffine_generators(field: Field, n: int) -> list:

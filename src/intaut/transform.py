@@ -131,15 +131,43 @@ def check_bijection(perm, size: int):
 
 def batch_preserves(perms: np.ndarray, relation: np.ndarray) -> np.ndarray:
     """For each permutation row p, whether relation[p[u], p[v]] == relation[u, v]
-    for all pairs; vectorised over blocks of rows whose mapped relations
-    take about 2^24 entries together."""
-    m = perms.shape[0]
-    rows = max(1, 2 ** 24 // relation.size)
-    out = np.empty(m, dtype=bool)
-    for start in range(0, m, rows):
-        block = perms[start:start + rows]
-        mapped = relation[block[:, :, None], block[:, None, :]]
-        out[start:start + rows] = (mapped == relation[None, :, :]).all(axis=(1, 2))
+    for all pairs.
+
+    With q the inverse of p, R[p][:, p] == R holds iff R[p] == (R^T[q])^T,
+    so each row costs two row gathers and one transposed compare, into N x N
+    buffers allocated once per call; no column gather.  Any square relation
+    is accepted, symmetric or not.  A non-square relation or a row of the
+    wrong length raises ValueError, a row that is not a permutation of
+    range(N) NotABijectionError.
+    """
+    relation = np.ascontiguousarray(relation)
+    if relation.ndim != 2 or relation.shape[0] != relation.shape[1]:
+        raise ValueError("relation must be a square matrix")
+    num = relation.shape[0]
+    perms = np.asarray(perms)
+    if perms.ndim != 2 or perms.shape[1] != num:
+        raise ValueError(f"permutations must be rows of length {num}")
+    if perms.dtype.kind not in "iu" or perms.size and (
+            perms.min() < 0 or perms.max() >= num):
+        raise NotABijectionError(f"permutation entries must be integers in [0, {num})")
+    hit = np.zeros(perms.shape, dtype=bool)
+    np.put_along_axis(hit, perms, True, axis=1)
+    if not hit.all():
+        raise NotABijectionError("image list is not a bijection on the index range")
+    transposed = np.ascontiguousarray(relation.T)
+    mapped = np.empty_like(relation)
+    back = np.empty_like(relation)
+    same = np.empty(relation.shape, dtype=bool)
+    inverse = np.empty(num, dtype=np.intp)
+    ids = np.arange(num)
+    out = np.empty(perms.shape[0], dtype=bool)
+    for k, perm in enumerate(perms):
+        inverse[perm] = ids
+        # indices are in range: mode="clip" skips take's buffered bounds check
+        np.take(relation, perm, axis=0, out=mapped, mode="clip")
+        np.take(transposed, inverse, axis=0, out=back, mode="clip")
+        np.equal(mapped, back.T, out=same)
+        out[k] = same.all()
     return out
 
 

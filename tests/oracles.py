@@ -307,6 +307,13 @@ def semiaffine_group(field, n: int, *, max_elements: int = 200_000) -> list:
     return [tuple(row) for row in uniq.tolist()]
 
 
+def preserves_oracle(perm, relation) -> bool:
+    """transform.batch_preserves for one row, by its definition: one 2-d
+    gather, relation[p[u], p[v]] == relation[u, v] for all pairs."""
+    p = np.asarray(perm)
+    return bool((relation[p[:, None], p[None, :]] == relation).all())
+
+
 # -- explicit group elements ----------------------------------------------------------
 
 def stabilizer_orbits(group, fixed_index: int, *,

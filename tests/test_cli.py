@@ -84,7 +84,7 @@ class SquareTables:
 def _clear_bulk_caches():
     # a cached bulk table would skip the table reads of a fresh field
     for cached in (space.point_matrix, space.class_of_pair, space.class_of_point,
-                   transform._cones):
+                   transform._cones, orbits._m_images):
         cached.cache_clear()
 
 
@@ -291,6 +291,29 @@ def test_verify_gates_zero_and_cone_checks_when_equal_is_expected(
     d = tsv_dict(capsys.readouterr().out)
     assert (d["expected_verdict"], d[key], d["status"]) == (expected, failures, status)
     assert code == (cli.CHECK_FAILED if status == "fail" else 0)
+
+
+@pytest.mark.parametrize("argv", [["--p", "3", "--n", "3"], ["--p", "5", "--n", "2"],
+                                  ["--p", "3", "--h", "2", "--n", "2"]])
+def test_verify_maps_the_reflections_once(monkeypatch, capsys, argv):
+    """The classification and the m-orbit check share one batch of
+    reflection images; m_generators still checks the bulk bound on every
+    call."""
+    orbits._m_images.cache_clear()
+    batches = []
+    real = transform.map_permutation_array
+
+    def counted(field, n, scale, frob, matrix, shift):
+        if np.ndim(matrix) == 3:
+            batches.append(len(matrix))
+        return real(field, n, scale, frob, matrix, shift)
+
+    monkeypatch.setattr(transform, "map_permutation_array", counted)
+    assert cli.main(["verify", *argv]) == 0
+    assert capsys.readouterr().out.split()[-2:] == ["status", "ok"]
+    assert len(batches) == 1
+    field = Field(*map(int, argv[1::2][:-1]))
+    assert not orbits._m_images(field, int(argv[-1])).flags.writeable
 
 
 def test_verify_rejects_n_one():

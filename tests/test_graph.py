@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +251,22 @@ def test_aut_order_matches_family_formula_at_729_points(f9):
     assert res.order == 729 * 2 * 8 * orth // 2 == 8398080
 
 
+def test_automorphism_group_frees_its_buffers_on_return(f7):
+    """The leaf check's N x N buffers and the transposed adjacency go when
+    the search returns, with the cyclic collector off: nothing of N^2
+    bytes outlives the call."""
+    adj = build_integral_graph(f7, 3).adjacency
+    gc.disable()
+    tracemalloc.start()
+    try:
+        assert automorphism_group(adj).order == 691488
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert left < adj.size
+
+
 def test_expected_verdicts(f3, f5, f7, f9):
     assert expected_verdict(f3, 3) is Verdict.EQUAL
     assert expected_verdict(f3, 2) is Verdict.EQUAL
@@ -317,6 +335,38 @@ def test_dimacs_rejects_garbage():
                  "p edge 1000000000 1\ne 1 2\n"]:
         with pytest.raises(ValueError):
             parse_dimacs(text)
+
+
+# inputs with several faulty lines, and the message of the first; a
+# self-loop and the declared edge count are whole-input checks, made after
+# every line has passed
+FIRST_FAULTS = [
+    ("p edge 3 1\np edge 3 1\nxx\n", "second DIMACS problem line: 'p edge 3 1'"),
+    ("p edge 3 1\nxx\np edge 3 1\n", "unknown DIMACS line: 'xx'"),
+    ("p edge 3 2\ne 1 5\ne 1 2\nxx\n",
+     "DIMACS edge out of range: endpoints must lie in [1, 3]"),
+    ("p edge 3 2\ne 1 2\ne 1 x\ne 1 0000000000000000000009\nq\n",
+     "DIMACS numbers must be runs of ASCII digits"),
+    ("p edge 3 2\ne 1 2\ne 1 10000000000000000000\ne 1 x\n",
+     "DIMACS number out of range"),
+    ("e 1 2\np edge 3 1\nxx\n", "DIMACS edge before problem line"),
+    ("p edge 3 1\ne 1 2 3\ne 1 x\n", "bad DIMACS edge line: 'e 1 2 3'"),
+    ("p edge 3 1\ne 1 x\ne 1 2 3\n", "DIMACS numbers must be runs of ASCII digits"),
+    ("p edge x 1\ne 1 2\nxx\n", "bad DIMACS problem line: 'p edge x 1'"),
+    ("p edge 3 9\ne 2 2\nxx\n", "unknown DIMACS line: 'xx'"),
+    ("p edge 3 9\ne 2 2\ne 1 2\n", "DIMACS input has a self-loop"),
+]
+
+
+@pytest.mark.parametrize("text, message", FIRST_FAULTS)
+def test_dimacs_reports_the_first_fault_in_text_order(monkeypatch, text, message):
+    """Whatever the chunk size, from one byte to the default."""
+    for chunk in [*range(1, len(text) + 2), 1 << 16]:
+        monkeypatch.setattr(graph, "DIMACS_CHUNK", chunk)
+        for form in (text, text.encode("ascii")):
+            with pytest.raises(ValueError) as info:
+                parse_dimacs(form)
+            assert str(info.value) == message
 
 
 def test_writers_reject_asymmetric_or_looped_matrices():
@@ -423,6 +473,24 @@ def dimacs_like(draw):
 DIMACS_LINE = st.lists(DIMACS_FIELD, max_size=5).map(" ".join)
 DIMACS_LIKE = (st.lists(DIMACS_LINE, max_size=6).map("\n".join)
                | dimacs_like()).map(str.encode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(DIMACS_LIKE, min_size=1, max_size=3).map(b"\n".join),
+       st.integers(1, 64))
+def test_dimacs_message_does_not_depend_on_the_chunk_size(data, chunk):
+    """Texts with several faulty lines give the same message, or the same
+    matrix, at chunk sizes of 1 to 64 bytes as at the default."""
+    def outcome():
+        try:
+            return parse_dimacs(data).tobytes()
+        except ValueError as exc:
+            return str(exc)
+
+    whole = outcome()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "DIMACS_CHUNK", chunk)
+        assert outcome() == whole
 
 
 @settings(max_examples=300, deadline=None)

@@ -990,10 +990,11 @@ def graph6_bytes_oracle(graph_):
 
 
 def parse_graph6_oracle(data):
-    """Bits by shifting every byte by each of 5..0, stored by np.tril_indices."""
+    """Bits by shifting every byte by each of 5..0, stored by np.tril_indices.
+    Only ASCII whitespace around the line is dropped."""
     if isinstance(data, bytes):
         data = data.decode("ascii")
-    line = data.strip()
+    line = data.strip(" \t\n\r\v\f")
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
     if not line:
@@ -1052,6 +1053,15 @@ def test_graph6_parser_matches_oracle_on_arbitrary_codes(data):
             graph.parse_graph6(data)
     else:
         assert np.array_equal(graph.parse_graph6(data), expected)
+
+
+@pytest.mark.parametrize("data", ["@\u00a0", "@\x1c", b"@\x1c"])
+def test_graph6_oracle_and_parser_refuse_non_ascii_whitespace(data):
+    """Neither strips a non-breaking space or \\x1c, so neither reads these
+    as the one-vertex graph."""
+    for parse in (parse_graph6_oracle, graph.parse_graph6):
+        with pytest.raises(ValueError):
+            parse(data)
 
 
 # 62 and 63 straddle the change from a one-byte to a four-byte size header.

@@ -1,17 +1,20 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intaut import Field, NotABijectionError
-from intaut.space import canonical_index, point_of_index
-from intaut.transform import (SemiaffineMap, map_permutation_array, normalize_map,
-                              preserves_cones, preserves_integral,
+from intaut.space import canonical_index, integral_matrix, point_of_index
+from intaut.transform import (SemiaffineMap, batch_preserves, map_permutation_array,
+                              normalize_map, preserves_cones, preserves_integral,
                               read_permutation_file, recognize_semiaffine,
                               satisfies_zero_iff, to_permutation,
                               write_permutation_file)
 from oracles import (apply_map, enumerate_orthogonal, is_orthogonal, mat_identity,
-                     orthogonal_bruteforce, semiaffine_group, unit_sphere)
+                     orthogonal_bruteforce, preserves_oracle, semiaffine_group,
+                     unit_sphere)
 
 
 def identity_map(n):
@@ -148,9 +151,12 @@ def test_every_group_element_preserves_integrality(f3, sa33):
 
 
 def test_batch_preserves_agrees_with_one_row_calls_across_blocks():
-    """Rows are checked in blocks of 2^24 // N^2 permutations, 31 at 729
-    points; a stack spanning several blocks, automorphisms and others
-    shuffled together, gives the answers of one-row calls."""
+    """Rows are checked one at a time through buffers reused from row to
+    row.  A stack of 90 rows at 729 points, automorphisms, the same with
+    two images swapped and shuffled images mixed, gives the answers of
+    one-row calls, so no row's answer depends on the rows before it.  The
+    stack is longer than two of the 2^24-entry blocks (2^24 // N^2 rows
+    each) an earlier kernel checked together."""
     from intaut.orbits import semiaffine_generators
     from intaut.space import integral_matrix
     from intaut.transform import batch_preserves
@@ -166,6 +172,88 @@ def test_batch_preserves_agrees_with_one_row_calls_across_blocks():
     got = batch_preserves(perms, rel)
     assert got.tolist() == [bool(batch_preserves(p[None], rel)[0]) for p in perms]
     assert got.sum() == len(gens)
+
+
+@st.composite
+def relations_with_automorphisms(draw):
+    """A square relation, symmetric or not, diagonal set, unset or mixed,
+    bool or small integers, and a permutation g that preserves it: the
+    relation sums a random one over the powers of g.  Rows to check: g and
+    two of its powers, the same with two images swapped, random
+    permutations."""
+    num = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.permutation(num)
+    base = rng.integers(0, 2, size=(num, num))
+    relation = np.zeros((num, num), dtype=np.int64)
+    power = np.arange(num)
+    while True:                                # power runs through g^k
+        relation += base[power[:, None], power[None, :]]
+        power = g[power]
+        if (power == np.arange(num)).all():
+            break
+    if draw(st.booleans()):
+        relation = relation + relation.T
+    diagonal = draw(st.sampled_from(["set", "unset", "kept"]))
+    if diagonal != "kept":
+        np.fill_diagonal(relation, diagonal == "set")
+    relation = (relation > 1 if draw(st.booleans())
+                else (relation % 3).astype(np.uint8))
+    autos = [g, g[g], np.arange(num)]
+    swapped = [a.copy() for a in autos]
+    for a in swapped:
+        i, j = rng.choice(num, size=2, replace=num < 2)
+        a[[i, j]] = a[[j, i]]
+    others = [rng.permutation(num) for _ in range(3)]
+    perms = np.stack(autos + swapped + others)
+    return relation, perms[rng.permutation(len(perms))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations_with_automorphisms())
+def test_batch_preserves_matches_the_definition(case):
+    relation, perms = case
+    got = batch_preserves(perms, relation)
+    assert got.dtype == bool and got.shape == (len(perms),)
+    assert got.tolist() == [preserves_oracle(p, relation) for p in perms]
+    assert batch_preserves(perms[:0], relation).shape == (0,)
+
+
+@pytest.mark.parametrize("row", [[0, 0, 2], [0, 1, 3], [-1, 0, 1], [1, 2, 0.0]])
+def test_batch_preserves_refuses_rows_that_are_not_permutations(row):
+    relation = np.eye(3, dtype=bool)
+    with pytest.raises(NotABijectionError):
+        batch_preserves(np.array([[0, 1, 2], row]), relation)
+
+
+@pytest.mark.parametrize("perms, relation", [
+    (np.array([[0, 1, 2]]), np.zeros((3, 4), dtype=bool)),      # not square
+    (np.array([[0, 1, 2]]), np.zeros(9, dtype=bool)),           # not a matrix
+    (np.array([[0, 1]]), np.zeros((3, 3), dtype=bool)),         # row too short
+    (np.array([0, 1, 2]), np.zeros((3, 3), dtype=bool))])       # one bare row
+def test_batch_preserves_refuses_shapes(perms, relation):
+    with pytest.raises(ValueError) as info:
+        batch_preserves(perms, relation)
+    assert not isinstance(info.value, NotABijectionError)
+
+
+def test_batch_preserves_peaks_under_six_bytes_per_pair():
+    """On the 259 generators at 3^6 the kernel's buffers, not a block of
+    mapped relations, bound its memory: numpy reports its allocations to
+    tracemalloc, and the peak stays under 6 N^2 bytes of the bool relation."""
+    from intaut.orbits import semiaffine_generators
+    f3 = Field(3)
+    rel = integral_matrix(f3, 6)
+    gens = np.stack(semiaffine_generators(f3, 6))
+    assert gens.shape == (259, 729)
+    tracemalloc.start()
+    try:
+        ok = batch_preserves(gens, rel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok.all()
+    assert peak < 6 * rel.size
 
 
 def test_to_permutation_translation_is_fixed_point_free(f3):

@@ -41,6 +41,7 @@ CASES = {
     "verify-27-corrupt": (["verify", "--p", "3", "--n", "3", "--corrupt"], 1, None),
     "verify-25": (["verify", "--p", "5", "--n", "2", "--output", "tsv"], 0, None),
     "verify-81": (["verify", "--p", "3", "--h", "2", "--n", "2"], 0, None),
+    "verify-125": (["verify", "--p", "5", "--n", "3"], 0, None),
     "verify-343": (["verify", "--p", "7", "--n", "3"], 0, None),
     "verify-169": (["verify", "--p", "13", "--n", "2"], 0, None),
     "verify-729": (["verify", "--p", "3", "--n", "6"], 0, None),

@@ -93,7 +93,12 @@ def _as_matrix(graph) -> np.ndarray:
             raise ValueError("adjacency must be a square matrix")
     if (adj != adj.T).any() or adj.diagonal().any():
         raise ValueError("adjacency must be symmetric with an empty diagonal")
-    return adj
+    # the search gathers rows: a column-major matrix, which adj[p][:, p]
+    # returns, is read through its transpose, a row-major view of the same
+    # values since adj is symmetric
+    if adj.flags.f_contiguous:
+        return adj.T
+    return np.ascontiguousarray(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +471,13 @@ def verify_classification(field: Field, n: int, *,
     if graph is None:
         graph = build_integral_graph(field, n)
     aut = automorphism_group(graph)
-    gens = orbits.semiaffine_generators(field, n)
-    ok = bool(transform.batch_preserves(np.stack(gens), graph.adjacency).all())
+    gens = np.stack(orbits.semiaffine_generators(field, n))
+    ok = transform.cayley_preserves(field, n, gens, graph.adjacency)
     sa_order = transform.semiaffine_order(field, n)
-    extra = next((g for g in aut.generators
-                  if transform.recognize_semiaffine(field, n, g) is None),
-                 None)
+    maps = transform.recognize_semiaffine_batch(
+        field, n, np.asarray(aut.generators, dtype=np.intp).reshape(
+            len(aut.generators), graph.num_vertices))
+    extra = next((g for g, m in zip(aut.generators, maps) if m is None), None)
     if ok and aut.order > sa_order:
         verdict = Verdict.STRICTLY_LARGER
     elif ok and aut.order == sa_order and extra is None:

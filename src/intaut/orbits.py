@@ -14,6 +14,9 @@ from .field import Field, rank_mod_p
 from . import space, transform
 from .space import SphereClass
 
+# generator entries gathered at once by orbits_under
+ORBIT_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
@@ -37,9 +40,11 @@ def orbits_under(perms, size: int) -> OrbitDecomposition:
     """Orbit partition of range(size) under the group the perms generate.
 
     Every point carries a label, at first itself.  Each sweep lowers the
-    labels of x and g[x] to their minimum for every generator g, then
-    shortcuts every label to the label of its label; when a sweep changes
-    nothing, every point is labeled by the least element of its orbit.
+    label of every x to the least label of x and of g[x] and g^-1[x] over
+    all generators g, by gathers over blocks of ORBIT_BLOCK entries of the
+    generators and their inverses, then shortcuts every label to the label
+    of its label; when a sweep changes nothing, every point is labeled by
+    the least element of its orbit.
     """
     perms = list(perms)
     for perm in perms:
@@ -47,25 +52,35 @@ def orbits_under(perms, size: int) -> OrbitDecomposition:
             raise ValueError(
                 f"permutation length {len(perm)} does not match size {size}")
     gens = np.asarray(perms).reshape(len(perms), size)
-    if gens.size:
-        if gens.dtype.kind not in "iu":
-            raise ValueError("permutation entries must be integers")
-        if gens.min() < 0 or gens.max() >= size:
-            raise ValueError(f"permutation entries must lie in [0, {size})")
-    gens = gens.astype(np.intp, copy=False)
-    hit = np.zeros(gens.shape, dtype=bool)
-    hit[np.arange(len(perms))[:, None], gens] = True
-    if not hit.all():
+    if not gens.size:
+        return _grouped(np.arange(size))
+    if gens.dtype.kind not in "iu":
+        raise ValueError("permutation entries must be integers")
+    if gens.min() < 0 or gens.max() >= size:
+        raise ValueError(f"permutation entries must lie in [0, {size})")
+    rows = max(1, ORBIT_BLOCK // max(size, 1))
+    blocks = range(0, len(perms), rows)
+    # np.put repeats range(size) row after row of each block
+    inverse = np.full(gens.shape, -1, dtype=np.int32)
+    for a in blocks:
+        block = gens[a:a + rows]
+        np.put(inverse[a:a + rows], block + (np.arange(len(block)) * size)[:, None],
+               np.arange(size))
+    if (inverse < 0).any():
         raise ValueError("generators must be permutations of range(size)")
     label = np.arange(size)
+    images = np.empty((min(rows, len(perms)), size), dtype=np.intp)
     while True:
-        before = label.copy()
-        for g in gens:
-            np.minimum(label, label[g], out=label)
-            label[g] = np.minimum(label[g], label)
-        label = label[label]
-        if np.array_equal(label, before):
+        lowered = label.copy()
+        for a in blocks:
+            for block in (gens[a:a + rows], inverse[a:a + rows]):
+                # indices are in range: mode="clip" skips take's bounds check
+                np.take(lowered, block, out=images[:len(block)], mode="clip")
+                np.minimum(lowered, images[:len(block)].min(axis=0), out=lowered)
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
             break
+        label = lowered
     return _grouped(label)
 
 
@@ -145,8 +160,8 @@ def semiaffine_generators(field: Field, n: int) -> list:
     if field.h > 1:
         gens.append(transform.map_permutation_array(
             field, n, 1, 1, identity, (0,) * n))
-    gens.extend(transform.map_permutation_array(field, n, 1, 0, identity, row)
-                for row in identity)
+    gens.extend(transform.map_permutation_array(
+        field, n, 1, 0, np.broadcast_to(identity, (n, n, n)), identity))
     return gens
 
 

@@ -72,13 +72,14 @@ def map_permutation_array(field, n, scale, frob, matrix, shift) -> np.ndarray:
     gathers over the field tables (no bijectivity check).
 
     `matrix` is one n x n matrix, giving a length-q^n array, or a (k, n, n)
-    stack of them sharing scale, frob and shift, giving a (k, q^n) array.
-    Output coordinate j is sum_i frob(x_i) * (scale * M[i][j]) + shift[j].
-    The point index is sum_i x_i q^i, so coordinate j over all points is an
-    outer table-add over the grid: it starts from the q values of the x_{n-1}
-    term plus shift[j], and each lower coordinate's q terms are added as a
-    new least significant axis.  A map costs O(n q^n) gathers, not
-    O(n^2 q^n).
+    stack of them sharing scale and frob, giving a (k, q^n) array.  `shift`
+    is one length-n vector shared by every matrix, or a (k, n) stack, one
+    per matrix.  Output coordinate j is sum_i frob(x_i) * (scale * M[i][j])
+    + shift[j].  The point index is sum_i x_i q^i, so coordinate j over all
+    points is an outer table-add over the grid: it starts from the q values
+    of the x_{n-1} term plus shift[j], and each lower coordinate's q terms
+    are added as a new least significant axis.  A map costs O(n q^n)
+    gathers, not O(n^2 q^n).
 
     Scale, matrix and shift entries must lie in [0, q) and frob in [0, h),
     or ValueError is raised.
@@ -87,19 +88,22 @@ def map_permutation_array(field, n, scale, frob, matrix, shift) -> np.ndarray:
     q = field.q
     mats = np.asarray(matrix, dtype=np.intp)
     stack = mats.reshape(-1, n, n)
-    if len(shift) != n:
-        raise ValueError(f"shift has {len(shift)} entries, expected {n}")
-    entries = np.concatenate((stack.ravel(), np.asarray(shift, dtype=np.intp), [scale]))
+    shifts = np.asarray(shift, dtype=np.intp)
+    if shifts.shape not in ((n,), (len(stack), n)):
+        raise ValueError(f"shift has shape {shifts.shape}, expected ({n},) "
+                         f"or ({len(stack)}, {n})")
+    entries = np.concatenate((stack.ravel(), shifts.ravel(), [scale]))
     if entries.min() < 0 or entries.max() >= q:
         raise ValueError(f"scale, matrix and shift entries must lie in [0, {q})")
     if not 0 <= frob < field.h:
         raise ValueError(f"frob must lie in [0, {field.h})")
+    shifts = np.broadcast_to(shifts, (len(stack), n))
     # terms[k, i, j, x] = frob(x) * (scale * M_k[i][j])
     terms = tb.mul[tb.frob[frob][:, None, None, None],
                    tb.mul[scale, stack][None]].transpose(1, 2, 3, 0)
     out = np.zeros((stack.shape[0], q ** n), dtype=np.int32)
     for j in range(n - 1, -1, -1):
-        acc = tb.add[terms[:, n - 1, j], shift[j]]
+        acc = tb.add[terms[:, n - 1, j], shifts[:, j, None]]
         for i in range(n - 2, -1, -1):
             acc = tb.add[acc[:, :, None], terms[:, i, j, None, :]].reshape(len(acc), -1)
         out *= q
@@ -129,6 +133,23 @@ def check_bijection(perm, size: int):
         raise NotABijectionError("image list is not a bijection on the index range")
 
 
+def _permutation_rows(perms, num: int) -> np.ndarray:
+    """perms as a (k, num) integer array whose rows are permutations of
+    range(num): a wrong shape raises ValueError, a row that is not a
+    permutation NotABijectionError."""
+    perms = np.asarray(perms)
+    if perms.ndim != 2 or perms.shape[1] != num:
+        raise ValueError(f"permutations must be rows of length {num}")
+    if perms.dtype.kind not in "iu" or perms.size and (
+            perms.min() < 0 or perms.max() >= num):
+        raise NotABijectionError(f"permutation entries must be integers in [0, {num})")
+    hit = np.zeros(perms.shape, dtype=bool)
+    np.put_along_axis(hit, perms, True, axis=1)
+    if not hit.all():
+        raise NotABijectionError("image list is not a bijection on the index range")
+    return perms
+
+
 def batch_preserves(perms: np.ndarray, relation: np.ndarray) -> np.ndarray:
     """For each permutation row p, whether relation[p[u], p[v]] == relation[u, v]
     for all pairs.
@@ -144,16 +165,7 @@ def batch_preserves(perms: np.ndarray, relation: np.ndarray) -> np.ndarray:
     if relation.ndim != 2 or relation.shape[0] != relation.shape[1]:
         raise ValueError("relation must be a square matrix")
     num = relation.shape[0]
-    perms = np.asarray(perms)
-    if perms.ndim != 2 or perms.shape[1] != num:
-        raise ValueError(f"permutations must be rows of length {num}")
-    if perms.dtype.kind not in "iu" or perms.size and (
-            perms.min() < 0 or perms.max() >= num):
-        raise NotABijectionError(f"permutation entries must be integers in [0, {num})")
-    hit = np.zeros(perms.shape, dtype=bool)
-    np.put_along_axis(hit, perms, True, axis=1)
-    if not hit.all():
-        raise NotABijectionError("image list is not a bijection on the index range")
+    perms = _permutation_rows(perms, num)
     transposed = np.ascontiguousarray(relation.T)
     mapped = np.empty_like(relation)
     back = np.empty_like(relation)
@@ -171,94 +183,190 @@ def batch_preserves(perms: np.ndarray, relation: np.ndarray) -> np.ndarray:
     return out
 
 
+def _basis_translations(field: Field, n: int) -> np.ndarray:
+    """The (n h, q^n) images of the translations by e_i times the element of
+    index p^j, a GF(p)-basis of GF(q)^n; together they generate every
+    translation.  Each moves coordinate i alone, so its image index is the
+    point index plus the change of that coordinate times q^i."""
+    tb = field.tables
+    coords = space.point_matrix(field, n).T[:, None, :]             # (n, 1, N)
+    steps = field.p ** np.arange(field.h)
+    moved = tb.add[coords, steps[None, :, None]] - coords            # (n, h, N)
+    moved *= (field.q ** np.arange(n, dtype=np.int32))[:, None, None]
+    moved += np.arange(field.q ** n, dtype=np.int32)
+    return moved.reshape(n * field.h, -1)
+
+
+def _semilinear_parts(field: Field, n: int, perms: np.ndarray):
+    """Affine-semilinear decomposition of each row of a (k, q^n) array of
+    point permutations.
+
+    Returns the image of the origin as coordinates (the shift, (k, n)), the
+    images of the basis vectors less the shift as the rows of B
+    ((k, n, n)), and per row the least Frobenius exponent i for which the
+    row is x -> frobenius(x, i) @ B + shift, or -1 if there is none.  B is
+    the same for every exponent, since the p-th-power map fixes the basis
+    vectors, so each exponent costs one map_permutation_array call over the
+    rows not yet matched.  A point index is sum_i x_i q^i, so its digits
+    are its coordinates.
+    """
+    tb = field.tables
+    q = field.q
+    digits = q ** np.arange(n)
+    shift = perms[:, :1] // digits % q
+    B = tb.add[perms[:, digits, None] // digits % q, tb.neg[shift][:, None, :]]
+    frob = np.full(len(perms), -1)
+    for i in range(field.h):
+        rows = np.flatnonzero(frob < 0)
+        if not rows.size:
+            break
+        images = map_permutation_array(field, n, 1, i, B[rows], shift[rows])
+        frob[rows[(images == perms[rows]).all(axis=1)]] = i
+    return shift, B, frob
+
+
+def cayley_preserves(field: Field, n: int, perms, relation) -> bool:
+    """Whether every permutation row preserves the q^n x q^n relation in
+    both directions, checked through the translations.
+
+    Step a runs batch_preserves on the n h basis translations
+    (_basis_translations).  If they all preserve the relation, so does
+    every translation, and R[u, v] = r[x_v - x_u] with r = R[0].  Step b
+    decomposes every row g as x -> L(x) + g(0) with L additive
+    (_semilinear_parts finds L as a Frobenius-semilinear map) and checks
+    R[g(0), g(w)] == R[0, w] for every point w, which is r[L(w)] == r[w].
+    Then R[g(u), g(v)] = r[L(v) - L(u)] = r[L(v - u)] = r[v - u] = R[u, v].
+    One (k, N) gather replaces k N^2 pair checks.  The route is sound, not
+    complete: a row that preserves a relation without translation symmetry,
+    or that is not affine-semilinear, reads as not preserving it.  A
+    relation that is not q^n x q^n or a row of the wrong length raises
+    ValueError, a row that is not a permutation NotABijectionError.
+    """
+    num = space.num_points(field, n)
+    relation = np.asarray(relation)
+    if relation.shape != (num, num):
+        raise ValueError(f"relation must be a {num} x {num} matrix")
+    perms = _permutation_rows(perms, num)
+    if not batch_preserves(_basis_translations(field, n), relation).all():
+        return False
+    frob = _semilinear_parts(field, n, perms)[2]
+    return bool((frob >= 0).all()
+                and (relation[perms[:, :1], perms] == relation[0]).all())
+
+
 # ---------------------------------------------------------------------------
 # recognition and the verification predicates
 # ---------------------------------------------------------------------------
 
 def recognize_semiaffine(field: Field, n: int, perm):
-    """Decompose a point permutation into map parameters, or return None.
+    """Decompose a point permutation into map parameters, or return None;
+    recognize_semiaffine_batch on one row."""
+    check_bijection(perm, space.num_points(field, n))
+    return recognize_semiaffine_batch(field, n, np.asarray([perm]))[0]
 
-    The shift is the image of the origin.  After removing it, the images of
-    the basis vectors give a candidate matrix B, the same for every
-    Frobenius exponent (basis vectors are fixed by the p-th-power map); if
-    the whole permutation agrees with x -> frobenius(x, i) @ B for some i,
-    then B B^T must be a scalar c times the identity and c must be a square
-    a^2, yielding matrix = B / a.  All of it is gathers over the field
-    tables: a point index is sum_i x_i q^i, so its digits are coordinates.
+
+def recognize_semiaffine_batch(field: Field, n: int, perms) -> list:
+    """The map parameters of every row of a (k, q^n) array of point
+    permutations, or None for a row that is no family map.
+
+    The shift is the image of the origin.  The images of the basis vectors
+    less the shift give a candidate matrix B, the same for every Frobenius
+    exponent; if the row agrees with x -> frobenius(x, i) @ B + shift for
+    some i (_semilinear_parts), then B B^T must be a scalar c times the
+    identity and c must be a square a^2 with a the least such index,
+    yielding matrix = B / a.  All of it is gathers over the field tables,
+    over all rows at once.  A wrong shape raises ValueError, a row that is
+    not a permutation NotABijectionError.
     """
-    check_bijection(perm, space.num_points(field, n))
     tb = field.tables
-    q = field.q
-    digits = q ** np.arange(n)
-    perm = np.asarray(perm)
-    shift = perm[0] // digits % q
-    # centered[k] = index of (image of point k) - shift
-    centered = map_permutation_array(field, n, 1, 0, np.eye(n, dtype=np.intp),
-                                     tb.neg[shift])[perm]
-    B = centered[digits, None] // digits % q         # row j: image of basis j
-    # one exponent at most matches: B is invertible when the map is a bijection
-    frob = next((i for i in range(field.h) if np.array_equal(
-        map_permutation_array(field, n, 1, i, B, (0,) * n), centered)), None)
-    if frob is None:
-        return None
-    terms = tb.mul[B[:, None, :], B[None, :, :]]     # [i, j, k] = B[i][k] B[j][k]
-    gram = functools.reduce(lambda acc, t: tb.add[acc, t], np.moveaxis(terms, 2, 0))
-    c = gram[0, 0]
-    roots = np.flatnonzero(tb.square_of == c)
-    if c == 0 or not roots.size or not np.array_equal(gram, c * np.eye(n, dtype=int)):
-        return None
-    root = int(roots[0])
-    return normalize_map(field, SemiaffineMap(
-        root, frob, _rows(tb.mul[tb.inv[root], B]), tuple(shift.tolist())))
-
-
-def _preserves(relation, field: Field, n: int, perm) -> bool:
-    """Whether perm preserves relation(field, n) in both directions."""
-    check_bijection(perm, space.num_points(field, n))
-    rel = relation(field, n)
-    return bool(batch_preserves(np.asarray([perm]), rel)[0])
+    perms = _permutation_rows(perms, space.num_points(field, n))
+    shift, B, frob = _semilinear_parts(field, n, perms)
+    terms = tb.mul[B[:, :, None, :], B[:, None, :, :]]  # [r, i, j, k] = B[i][k] B[j][k]
+    gram = functools.reduce(lambda acc, t: tb.add[acc, t], np.moveaxis(terms, 3, 0))
+    c = gram[:, 0, 0]
+    ok = ((frob >= 0) & (c != 0) & tb.is_square[c]
+          & (gram == c[:, None, None] * np.eye(n, dtype=np.intp)).all(axis=(1, 2)))
+    root = (tb.square_of == c[:, None]).argmax(axis=1)  # least root where c is a square
+    matrix = tb.mul[tb.inv[root][:, None, None], B]
+    return [normalize_map(field, SemiaffineMap(
+                int(root[r]), int(frob[r]), _rows(matrix[r]), tuple(shift[r].tolist())))
+            if ok[r] else None for r in range(len(perms))]
 
 
 def preserves_integral(field: Field, n: int, perm) -> bool:
     """Whether the integral-distance relation is preserved in both directions."""
-    return _preserves(space.integral_matrix, field, n, perm)
+    check_bijection(perm, space.num_points(field, n))
+    return bool(batch_preserves(np.asarray([perm]), space.integral_matrix(field, n))[0])
 
 
 def satisfies_zero_iff(field: Field, n: int, perm) -> bool:
     """Whether distance zero is preserved in both directions over all pairs."""
-    return _preserves(space.zero_distance_matrix, field, n, perm)
+    check_bijection(perm, space.num_points(field, n))
+    return bool(zero_iff_preserved(field, n, np.asarray([perm]))[0])
+
+
+def zero_iff_preserved(field: Field, n: int, perms) -> np.ndarray:
+    """satisfies_zero_iff for every row of a (k, q^n) permutation array,
+    in one batch_preserves call."""
+    return batch_preserves(perms, space.zero_distance_matrix(field, n))
+
+
+# cone entries gathered and sorted per block of cones_preserved
+CONE_BLOCK = 1 << 16
 
 
 @functools.lru_cache(maxsize=space.CACHE_SIZE)
 def _cones(field: Field, n: int) -> np.ndarray:
-    """Read-only matrix whose row v is the cone of vertex v, the points at
-    squared distance zero from it, as ascending point indices.
+    """Read-only int32 matrix whose row v is the cone of vertex v, the points
+    at squared distance zero from it, as ascending point indices.
 
     Distance zero is invariant under translation, so every cone has as many
-    points as the cone of the origin.
+    points as the cone of the origin.  The rows are read off class_of_pair
+    in blocks of about CONE_BLOCK pairs, so no N x N temporary is made.
     """
-    zero = space.zero_distance_matrix(field, n)
-    sizes = zero.sum(axis=1)
-    if (sizes != sizes[0]).any():
-        raise InternalInconsistencyError("cones of different sizes")
-    cones = np.nonzero(zero)[1].reshape(zero.shape[0], -1)    # row-major
+    codes = space.class_of_pair(field, n)
+    num = codes.shape[0]
+    size = int(np.count_nonzero(codes[0] <= 1))
+    rows = max(1, CONE_BLOCK // num)
+    cones = np.empty((num, size), dtype=np.int32)
+    for a in range(0, num, rows):
+        zero = codes[a:a + rows] <= 1
+        if (np.count_nonzero(zero, axis=1) != size).any():
+            raise InternalInconsistencyError("cones of different sizes")
+        cones[a:a + rows] = np.nonzero(zero)[1].reshape(-1, size)    # row-major
     cones.setflags(write=False)
     return cones
 
 
 def preserves_cones(field: Field, n: int, perm) -> bool:
-    """Whether the image of every cone is the cone of the image vertex.
+    """Whether the image of every cone is the cone of the image vertex;
+    cones_preserved on one row."""
+    check_bijection(perm, space.num_points(field, n))
+    return bool(cones_preserved(field, n, np.asarray([perm]))[0])
 
-    Logically equivalent to satisfies_zero_iff, but checked as images of
+
+def cones_preserved(field: Field, n: int, perms) -> np.ndarray:
+    """For every row of a (k, q^n) permutation array, whether the image of
+    every cone is the cone of the image vertex.
+
+    Logically equivalent to zero_iff_preserved, but checked as images of
     explicit cones rather than pair by pair, so the two routes can be
     checked against each other.  The cones are the sorted rows of `_cones`,
     so the image of the cone of v is the cone of perm[v] iff the images of
-    row v, sorted, equal row perm[v].
+    row v, sorted, equal row perm[v].  The cones are taken in blocks of
+    rows, each mapped by every permutation at once, of about CONE_BLOCK
+    entries in all.  A wrong shape raises ValueError, a row that is not a
+    permutation NotABijectionError.
     """
-    check_bijection(perm, space.num_points(field, n))
     cones = _cones(field, n)
-    perm = np.asarray(perm)
-    return bool(np.array_equal(np.sort(perm[cones], axis=1), cones[perm]))
+    num, size = cones.shape
+    perms = _permutation_rows(perms, num).astype(np.int32)
+    ok = np.ones(len(perms), dtype=bool)
+    rows = max(1, CONE_BLOCK // (size * max(len(perms), 1)))
+    for a in range(0, num, rows):
+        images = np.sort(perms[:, cones[a:a + rows]], axis=2)
+        ok &= (images == cones[perms[:, a:a + rows]]).all(axis=(1, 2))
+    return ok
 
 
 # ---------------------------------------------------------------------------

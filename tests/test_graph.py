@@ -170,6 +170,26 @@ def test_engine_against_brute_force_on_random_graphs(seed):
     assert automorphism_group(adj).order == brute_force_aut_order(adj)
 
 
+@pytest.mark.parametrize("p,h,n", [(3, 1, 3), (5, 1, 2), (3, 2, 2)])
+def test_column_major_input_reads_as_its_row_major_copy(p, h, n):
+    """A relabeled graph adj[inv][:, inv] comes out column-major; the engine
+    and the writers read it through a row-major view that shares its memory,
+    with the results of a row-major copy."""
+    adj = build_integral_graph(Field(p, h), n).adjacency
+    inv = np.random.default_rng(p + n).permutation(len(adj))
+    relabeled = adj[inv][:, inv]
+    assert relabeled.flags.f_contiguous and not relabeled.flags.c_contiguous
+    rows = np.ascontiguousarray(relabeled)
+    view = graph._as_matrix(relabeled)
+    assert view.flags.c_contiguous and np.shares_memory(view, relabeled)
+    assert np.array_equal(view, rows)
+    assert automorphism_group(relabeled) == automorphism_group(rows)
+    cells = [list(range(0, len(adj), 2)), list(range(1, len(adj), 2))]
+    assert refine_coloring(relabeled, cells) == refine_coloring(rows, cells)
+    assert graph6_bytes(relabeled) == graph6_bytes(rows)
+    assert dimacs_text(relabeled) == dimacs_text(rows)
+
+
 def test_engine_on_cycles():
     for m in (4, 5, 6, 8):
         adj = np.zeros((m, m), dtype=bool)

@@ -658,6 +658,33 @@ def test_preserves_cones_matches_set_oracle(p, h, n):
     assert any(verdicts) and not all(verdicts)
 
 
+@pytest.mark.parametrize("block", [transform.CONE_BLOCK, 40])
+@pytest.mark.parametrize("p,h,n", [(3, 1, 3), (5, 1, 3)])
+def test_cones_preserved_matches_set_oracle_on_a_stack(monkeypatch, p, h, n, block):
+    """One stack of random bijections, the engine's generators and each
+    with two images swapped: cones_preserved and zero_iff_preserved give
+    every row the set oracle's answer, also when the cones are built and
+    mapped one row per block."""
+    monkeypatch.setattr(transform, "CONE_BLOCK", block)
+    transform._cones.cache_clear()
+    field = Field(p, h)
+    total = space.num_points(field, n)
+    rng = np.random.default_rng(block + p)
+    gens = np.array(graph.automorphism_group(graph.build_integral_graph(field, n)).generators)
+    swapped = gens.copy()
+    cols = rng.choice(total, size=2, replace=False)
+    swapped[:, cols] = swapped[:, cols[::-1]]
+    perms = np.concatenate([gens, swapped, [rng.permutation(total) for _ in range(5)]])
+    perms = perms[rng.permutation(len(perms))]
+    want = [preserves_cones_oracle(field, n, tuple(row)) for row in perms.tolist()]
+    try:
+        assert transform.cones_preserved(field, n, perms).tolist() == want
+    finally:
+        transform._cones.cache_clear()
+    assert transform.zero_iff_preserved(field, n, perms).tolist() == want
+    assert any(want) and not all(want)
+
+
 # -- cold start -------------------------------------------------------------------
 
 COLD_START = """
@@ -1217,8 +1244,9 @@ def m_generators_oracle(field, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("p,h", [(3, 1), (3, 2), (5, 2), (3, 3)])
 def test_map_permutation_array_matches_oracle(p, h, n):
-    """Random parameters, singular matrices among them, one map at a time
-    and as a stack sharing scale, frob and shift."""
+    """Random parameters, singular matrices among them, one map at a time,
+    as a stack sharing scale, frob and shift, and as a stack with one shift
+    per matrix."""
     field = Field(p, h)
     q = field.q
     rng = np.random.default_rng(q * 10 + n)
@@ -1237,6 +1265,10 @@ def test_map_permutation_array_matches_oracle(p, h, n):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         got = transform.map_permutation_array(field, n, scale, frob, stack, shift)
         assert got.shape == (3, q ** n) and np.array_equal(got, np.stack(expected))
+        shifts = rng.integers(0, q, (3, n))
+        got = transform.map_permutation_array(field, n, scale, frob, stack, shifts)
+        assert np.array_equal(got, [map_permutation_array_oracle(
+            field, n, scale, frob, m.tolist(), tuple(b)) for m, b in zip(stack, shifts)])
 
 
 @pytest.mark.parametrize("p,h,n", [(3, 1, 3), (5, 1, 3), (3, 2, 2), (3, 1, 6)])

@@ -84,6 +84,8 @@ def test_orbits_match_union_find(case):
     assert orbits_under(perms, size).orbits == orbits_oracle(perms, size)
     arrays = [np.array(p, dtype=np.int32) for p in perms]
     assert orbits_under(arrays, size).orbits == orbits_oracle(perms, size)
+    stacked = np.array(perms, dtype=np.intp).reshape(len(perms), size)
+    assert orbits_under(stacked, size).orbits == orbits_oracle(perms, size)
 
 
 @pytest.mark.parametrize("p,h,n", [(3, 1, 3), (5, 1, 3), (3, 2, 2), (7, 1, 2)])

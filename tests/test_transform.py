@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intaut import Field, NotABijectionError
-from intaut.space import canonical_index, integral_matrix, point_of_index
-from intaut.transform import (SemiaffineMap, batch_preserves, map_permutation_array,
-                              normalize_map, preserves_cones, preserves_integral,
-                              read_permutation_file, recognize_semiaffine,
+from intaut import Field, NotABijectionError, automorphism_group, build_integral_graph
+from intaut.orbits import semiaffine_generators
+from intaut.space import (canonical_index, class_of_pair, integral_matrix,
+                          point_of_index)
+from intaut.transform import (SemiaffineMap, batch_preserves, cayley_preserves,
+                              map_permutation_array, normalize_map, preserves_cones,
+                              preserves_integral, read_permutation_file,
+                              recognize_semiaffine, recognize_semiaffine_batch,
                               satisfies_zero_iff, to_permutation,
                               write_permutation_file)
 from oracles import (apply_map, enumerate_orthogonal, is_orthogonal, mat_identity,
@@ -254,6 +257,89 @@ def test_batch_preserves_peaks_under_six_bytes_per_pair():
         tracemalloc.stop()
     assert ok.all()
     assert peak < 6 * rel.size
+
+
+# every instance verify takes (n >= 2) of at most 729 points
+UP_TO_729 = [(p, h, n) for p, h in [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1),
+                                    (17, 1), (19, 1), (23, 1), (5, 2), (3, 3)]
+             for n in range(2, 7) if (p ** h) ** n <= 729]
+
+
+@pytest.mark.parametrize("p,h,n", UP_TO_729,
+                         ids=[f"{p ** h}^{n}" for p, h, n in UP_TO_729])
+def test_cayley_route_agrees_with_the_kernel(p, h, n):
+    """Containment through the translations says what batch_preserves on
+    every family generator says: yes on the integral graph, the
+    zero-distance relation and the class codes, no on the integral graph
+    with one, two or five random edges flipped."""
+    field = Field(p, h)
+    gens = np.stack(semiaffine_generators(field, n))
+    codes = class_of_pair(field, n)
+    adj = build_integral_graph(field, n).adjacency
+    for relation in (adj, codes <= 1, codes):
+        assert cayley_preserves(field, n, gens, relation)
+        assert batch_preserves(gens, relation).all()
+    rng = np.random.default_rng(p * 100 + h * 10 + n)
+    pairs = np.argwhere(np.triu(np.ones(adj.shape, dtype=bool), 1))
+    for flips in (1, 2, 5):
+        bad = adj.copy()
+        for u, v in pairs[rng.choice(len(pairs), size=flips, replace=False)].tolist():
+            bad[u, v] = bad[v, u] = not bad[u, v]
+        assert not cayley_preserves(field, n, gens, bad)
+        assert not batch_preserves(gens, bad).all()
+
+
+def test_cayley_route_refuses_maps_that_are_not_affine(f5):
+    """The route is sound, not complete: on the plane over 5 the engine
+    finds automorphisms outside the family, which the kernel accepts and
+    the route, finding no affine-semilinear decomposition, does not."""
+    adj = build_integral_graph(f5, 2).adjacency
+    gens = np.asarray(automorphism_group(adj).generators)
+    assert batch_preserves(gens, adj).all()
+    assert not cayley_preserves(f5, 2, gens, adj)
+
+
+@pytest.mark.parametrize("perms, relation, error", [
+    (np.array([[0, 1, 2]]), np.zeros((9, 9), dtype=bool), ValueError),
+    (np.arange(9)[None], np.zeros((9, 3), dtype=bool), ValueError),
+    (np.arange(3)[None], np.zeros((3, 3), dtype=bool), ValueError),    # not 3^2 rows
+    (np.zeros((1, 9), dtype=int), np.zeros((9, 9), dtype=bool), NotABijectionError),
+    (np.arange(9.0)[None], np.zeros((9, 9), dtype=bool), NotABijectionError)])
+def test_cayley_route_refuses_bad_input(f3, perms, relation, error):
+    with pytest.raises(error):
+        cayley_preserves(f3, 2, perms, relation)
+
+
+@pytest.mark.parametrize("p,h,n", [(3, 1, 3), (5, 1, 2), (3, 2, 2)])
+def test_recognize_batch_matches_family_membership(p, h, n):
+    """One batch of family elements, the engine's generators (some outside
+    the family on the planes over 5 and 9), each with two images swapped,
+    and random bijections: a row is recognized iff it is a family element,
+    as a normalized map inducing it, and every row gets the answer of its
+    own one-row call."""
+    field = Field(p, h)
+    total = field.q ** n
+    family = semiaffine_group(field, n)
+    rng = np.random.default_rng(p * 100 + h * 10 + n)
+    rows = [family[i] for i in rng.choice(len(family), 30, replace=False)]
+    rows += automorphism_group(build_integral_graph(field, n)).generators
+    for row in list(rows):
+        u, v = rng.choice(total, size=2, replace=False)
+        swapped = list(row)
+        swapped[u], swapped[v] = swapped[v], swapped[u]
+        rows.append(tuple(swapped))
+    rows += [tuple(rng.permutation(total).tolist()) for _ in range(5)]
+    order = rng.permutation(len(rows))
+    rows = [rows[i] for i in order]
+    got = recognize_semiaffine_batch(field, n, np.array(rows))
+    members = set(family)
+    assert [m is not None for m in got] == [row in members for row in rows]
+    for m, row in zip(got, rows):
+        if m is not None:
+            assert m == normalize_map(field, m)
+            assert to_permutation(field, n, m) == row
+    assert got == [recognize_semiaffine(field, n, row) for row in rows]
+    assert recognize_semiaffine_batch(field, n, np.empty((0, total), dtype=int)) == []
 
 
 def test_to_permutation_translation_is_fixed_point_free(f3):

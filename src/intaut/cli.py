@@ -162,8 +162,8 @@ def cmd_verify(args) -> int:
     rep.emit("sphere_match", sphere_ok)
     gates.append(sphere_ok)
 
-    # the graph holds the bulk bound and the search its vertex bound: refuse
-    # before the relation-side work
+    # the graph holds the bulk bound, verify's one size limit: refuse before
+    # the relation-side work
     g = graphmod.build_integral_graph(field, n)
     if args.corrupt:
         g = graphmod.flip_edge(g, 0, 1)

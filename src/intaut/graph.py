@@ -39,11 +39,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import TooLargeError
 from .field import Field
 from . import orbits, space, transform
-
-MAX_AUT_VERTICES = 750
 
 
 @dataclass(frozen=True)
@@ -84,13 +81,12 @@ def flip_edge(graph: IntegralGraph, u: int, v: int) -> IntegralGraph:
 
 def _as_matrix(graph) -> np.ndarray:
     """The adjacency matrix of a simple graph, which the engine and the
-    interchange writers take: square and symmetric with an empty diagonal."""
-    if isinstance(graph, IntegralGraph):
-        adj = graph.adjacency
-    else:
-        adj = np.asarray(graph, dtype=bool)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError("adjacency must be a square matrix")
+    interchange writers take: square and symmetric with an empty diagonal.
+    `graph` is such a matrix, or any object whose `adjacency` is one; a
+    nonzero entry is an edge."""
+    adj = np.asarray(getattr(graph, "adjacency", graph), dtype=bool)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError("adjacency must be a square matrix")
     if (adj != adj.T).any() or adj.diagonal().any():
         raise ValueError("adjacency must be symmetric with an empty diagonal")
     # the search gathers rows: a column-major matrix, which adj[p][:, p]
@@ -106,8 +102,9 @@ def _as_matrix(graph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _columns(adj: np.ndarray) -> np.ndarray:
-    """The adjacency columns as contiguous uint8 rows: row v is adj[:, v]."""
-    return np.ascontiguousarray(adj.T).view(np.uint8)
+    """The adjacency columns as uint8 rows: row v is adj[:, v], which is
+    adj[v] since adj is symmetric, so this is a view, not a copy."""
+    return adj.view(np.uint8)
 
 
 def _refine(cols: np.ndarray, order: np.ndarray, bnd: np.ndarray, splitters,
@@ -306,13 +303,11 @@ def automorphism_group(graph) -> AutGroupResult:
     generators and the node count are those of the exhaustive search on
     every graph.
 
-    A graph of more than MAX_AUT_VERTICES vertices raises TooLargeError.
+    Its memory is a fixed multiple of the N x N adjacency, which the caller
+    already holds, so a bound on the adjacency bounds the search too.
     """
     adj = _as_matrix(graph)
     num = adj.shape[0]
-    if num > MAX_AUT_VERTICES:
-        raise TooLargeError(
-            f"{num} vertices exceed the search bound {MAX_AUT_VERTICES}")
     if num == 0:
         return AutGroupResult(1, (), 0)
 
@@ -471,7 +466,7 @@ def verify_classification(field: Field, n: int, *,
     if graph is None:
         graph = build_integral_graph(field, n)
     aut = automorphism_group(graph)
-    gens = np.stack(orbits.semiaffine_generators(field, n))
+    gens = orbits.semiaffine_generators(field, n)
     ok = transform.cayley_preserves(field, n, gens, graph.adjacency)
     sa_order = transform.semiaffine_order(field, n)
     maps = transform.recognize_semiaffine_batch(

@@ -44,32 +44,19 @@ def orbits_under(perms, size: int) -> OrbitDecomposition:
     all generators g, by gathers over blocks of ORBIT_BLOCK entries of the
     generators and their inverses, then shortcuts every label to the label
     of its label; when a sweep changes nothing, every point is labeled by
-    the least element of its orbit.
+    the least element of its orbit.  A row of the wrong length raises
+    ValueError, a row that is not a permutation NotABijectionError.
     """
-    perms = list(perms)
-    for perm in perms:
-        if len(perm) != size:
-            raise ValueError(
-                f"permutation length {len(perm)} does not match size {size}")
-    gens = np.asarray(perms).reshape(len(perms), size)
-    if not gens.size:
+    if not len(perms):
         return _grouped(np.arange(size))
-    if gens.dtype.kind not in "iu":
-        raise ValueError("permutation entries must be integers")
-    if gens.min() < 0 or gens.max() >= size:
-        raise ValueError(f"permutation entries must lie in [0, {size})")
+    gens = transform._permutation_rows(perms, size)
     rows = max(1, ORBIT_BLOCK // max(size, 1))
-    blocks = range(0, len(perms), rows)
-    # np.put repeats range(size) row after row of each block
-    inverse = np.full(gens.shape, -1, dtype=np.int32)
+    blocks = range(0, len(gens), rows)
+    inverse = np.empty(gens.shape, dtype=np.int32)
     for a in blocks:
-        block = gens[a:a + rows]
-        np.put(inverse[a:a + rows], block + (np.arange(len(block)) * size)[:, None],
-               np.arange(size))
-    if (inverse < 0).any():
-        raise ValueError("generators must be permutations of range(size)")
+        np.put_along_axis(inverse[a:a + rows], gens[a:a + rows], np.arange(size), axis=1)
     label = np.arange(size)
-    images = np.empty((min(rows, len(perms)), size), dtype=np.intp)
+    images = np.empty((min(rows, len(gens)), size), dtype=np.intp)
     while True:
         lowered = label.copy()
         for a in blocks:
@@ -99,7 +86,7 @@ def classify_partition(field: Field, n: int) -> OrbitDecomposition:
     return _grouped(space.class_of_point(field, n))
 
 
-def m_generators(field: Field, n: int) -> list:
+def m_generators(field: Field, n: int) -> np.ndarray:
     """Permutations generating the scalar-orthogonal group {x -> a x M}.
 
     The orthogonal part is generated by the reflections tau_v over all
@@ -109,7 +96,7 @@ def m_generators(field: Field, n: int) -> list:
 
     When the q^n images of every generator would exceed
     space.MAX_BULK_ENTRIES it raises TooLargeError, on every call; below
-    that the rows are views of one cached read-only array (`_m_images`).
+    that it returns the cached read-only (k, q^n) array `_m_images`.
     """
     total = space.num_points(field, n)
     anisotropic = np.count_nonzero(space._norm_array(field, n))
@@ -117,7 +104,7 @@ def m_generators(field: Field, n: int) -> list:
     if count * total > space.MAX_BULK_ENTRIES:
         raise TooLargeError(
             f"{count} generators on {total} points exceed the bulk bound")
-    return list(_m_images(field, n))
+    return _m_images(field, n)
 
 
 @functools.lru_cache(maxsize=space.CACHE_SIZE)
@@ -152,17 +139,16 @@ def _m_images(field: Field, n: int) -> np.ndarray:
     return images
 
 
-def semiaffine_generators(field: Field, n: int) -> list:
+def semiaffine_generators(field: Field, n: int) -> np.ndarray:
     """m_generators, one Frobenius map when h > 1, and the translations by the
-    basis vectors, which the scalars carry onto every translation."""
-    gens = m_generators(field, n)
-    identity = np.eye(n, dtype=np.intp)
+    basis vectors, which the scalars carry onto every translation, as one
+    (k, q^n) array."""
+    gens = [m_generators(field, n)]
     if field.h > 1:
         gens.append(transform.map_permutation_array(
-            field, n, 1, 1, identity, (0,) * n))
-    gens.extend(transform.map_permutation_array(
-        field, n, 1, 0, np.broadcast_to(identity, (n, n, n)), identity))
-    return gens
+            field, n, 1, 1, np.eye(n, dtype=np.intp)[None], (0,) * n))
+    gens.append(transform._basis_translations(field, n)[::field.h])
+    return np.concatenate(gens)
 
 
 def m_orbits(field: Field, n: int) -> OrbitDecomposition:

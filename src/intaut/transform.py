@@ -6,11 +6,11 @@ A map is the tuple (scale, frob, matrix, shift) acting on row vectors as
 
 with a nonzero scalar, a power of the coordinatewise p-th-power map, a
 matrix satisfying M M^T = I, and a translation vector.  Permutations of the
-point set are stored as tuples of image indices, the common currency of all
-group computations here.  A map's matrix is a tuple of row tuples of element
-indices, and all arithmetic on it is gathers over `Field.tables`.  Element
-lists of the family and orthogonal-matrix enumeration are test oracles, kept
-out of the library.
+point set are rows of image indices, and a set of them is one (k, q^n)
+integer array, checked once by `_permutation_rows`.  A map's matrix is a
+tuple of row tuples of element indices, and all arithmetic on it is gathers
+over `Field.tables`.  Element lists of the family and orthogonal-matrix
+enumeration are test oracles, kept out of the library.
 """
 
 from __future__ import annotations
@@ -61,10 +61,8 @@ def _rows(matrix: np.ndarray) -> tuple:
 def to_permutation(field: Field, n: int, m: SemiaffineMap) -> tuple:
     """Point permutation induced by the map, images indexed canonically."""
     arr = map_permutation_array(field, n, m.scale, m.frob, m.matrix, m.shift)
-    perm = tuple(arr.tolist())
-    if len(set(perm)) != len(perm):
-        raise NotABijectionError("map does not induce a bijection")
-    return perm
+    check_bijection(arr, arr.size)
+    return tuple(arr.tolist())
 
 
 def map_permutation_array(field, n, scale, frob, matrix, shift) -> np.ndarray:
@@ -126,27 +124,31 @@ def semiaffine_order(field: Field, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def check_bijection(perm, size: int):
+    """Raise NotABijectionError unless perm is a permutation of range(size)."""
     if len(perm) != size:
         raise NotABijectionError(
             f"permutation has length {len(perm)}, expected {size}")
-    if len(set(perm)) != size or min(perm) < 0 or max(perm) >= size:
-        raise NotABijectionError("image list is not a bijection on the index range")
+    _permutation_rows([perm], size)
 
 
 def _permutation_rows(perms, num: int) -> np.ndarray:
     """perms as a (k, num) integer array whose rows are permutations of
-    range(num): a wrong shape raises ValueError, a row that is not a
-    permutation NotABijectionError."""
+    range(num); the library's one check that rows are permutations.  A
+    wrong shape raises ValueError, a row that is not a permutation
+    NotABijectionError."""
     perms = np.asarray(perms)
+    if not perms.size:              # [()] reads as float: no entry to check
+        perms = perms.astype(np.intp)
     if perms.ndim != 2 or perms.shape[1] != num:
         raise ValueError(f"permutations must be rows of length {num}")
     if perms.dtype.kind not in "iu" or perms.size and (
             perms.min() < 0 or perms.max() >= num):
-        raise NotABijectionError(f"permutation entries must be integers in [0, {num})")
+        raise NotABijectionError(
+            f"permutation entries must be integers that lie in [0, {num})")
     hit = np.zeros(perms.shape, dtype=bool)
     np.put_along_axis(hit, perms, True, axis=1)
     if not hit.all():
-        raise NotABijectionError("image list is not a bijection on the index range")
+        raise NotABijectionError(f"rows must be permutations of range({num})")
     return perms
 
 

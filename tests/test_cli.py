@@ -374,14 +374,6 @@ def test_verify_refuses_bulk_bound_before_relation_work(monkeypatch, capsys):
         "", "error: pairwise table with 6561^2 entries exceeds the bulk bound\n")
 
 
-def test_verify_refuses_search_bound_before_relation_work(monkeypatch, capsys):
-    # 11^3 passes the bulk bound but not the automorphism search's vertex bound
-    monkeypatch.setattr(orbits, "m_generators", _crash)
-    assert cli.main(["verify", "--p", "11", "--n", "3"]) == cli.USAGE_ERROR
-    assert capsys.readouterr() == (
-        "", "error: 1331 vertices exceed the search bound 750\n")
-
-
 # -- recognize -------------------------------------------------------------------
 
 def test_recognize_identity(tmp_path):

@@ -45,6 +45,7 @@ CASES = {
     "verify-343": (["verify", "--p", "7", "--n", "3"], 0, None),
     "verify-169": (["verify", "--p", "13", "--n", "2"], 0, None),
     "verify-729": (["verify", "--p", "3", "--n", "6"], 0, None),
+    "verify-1331": (["verify", "--p", "11", "--n", "3"], 0, None),
     "recognize-81": (["recognize", "--p", "3", "--h", "2", "--n", "2",
                       "--perm-file", str(GOLDEN / "recognize-81.perm")], 0, None),
     "recognize-27-swap": (["recognize", "--p", "3", "--n", "3",

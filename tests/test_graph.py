@@ -1,13 +1,15 @@
+import ast
 import gc
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intaut import Field, TooLargeError, graph
-from intaut.graph import (Verdict, automorphism_group, build_integral_graph,
+from intaut import Field, graph
+from intaut.graph import (IntegralGraph, Verdict, automorphism_group, build_integral_graph,
                           dimacs_text, expected_verdict, flip_edge, graph6_bytes,
                           parse_dimacs, parse_graph6, refine_coloring,
                           verify_classification)
@@ -140,12 +142,6 @@ def test_complement_has_same_group(graph33, aut33):
     assert automorphism_group(comp).order == aut33.order
 
 
-def test_vertex_guard(monkeypatch):
-    monkeypatch.setattr(graph, "MAX_AUT_VERTICES", 10)
-    with pytest.raises(TooLargeError):
-        automorphism_group(complete(20))
-
-
 def brute_force_aut_order(adj):
     import itertools
     m = adj.shape[0]
@@ -188,6 +184,48 @@ def test_column_major_input_reads_as_its_row_major_copy(p, h, n):
     assert refine_coloring(relabeled, cells) == refine_coloring(rows, cells)
     assert graph6_bytes(relabeled) == graph6_bytes(rows)
     assert dimacs_text(relabeled) == dimacs_text(rows)
+
+
+@pytest.mark.parametrize("p,h,n", [(3, 1, 2), (3, 1, 3), (5, 1, 2)])
+def test_integer_adjacency_reads_as_its_bool_form(p, h, n):
+    """A 0/1 integer adjacency, bare or held by an IntegralGraph, is the
+    graph of its bool form to the engine and the writers."""
+    g = build_integral_graph(Field(p, h), n)
+    wide = IntegralGraph(g.adjacency.astype(np.int64), g.field, g.n)
+    cells = [list(range(0, len(g.adjacency), 2)), list(range(1, len(g.adjacency), 2))]
+    for form in (wide, wide.adjacency):
+        assert automorphism_group(form) == automorphism_group(g)
+        assert refine_coloring(form, cells) == refine_coloring(g, cells)
+        assert graph6_bytes(form) == graph6_bytes(g)
+        assert dimacs_text(form) == dimacs_text(g)
+
+
+# the automorphism engine and the interchange formats
+ENGINE = {"_as_matrix", "_columns", "_refine", "_counts", "_split", "_individualize",
+          "refine_coloring", "_target_cell", "automorphism_group", "graph6_bytes",
+          "_graph6_chunks", "parse_graph6", "dimacs_text", "_dimacs_breaks",
+          "parse_dimacs", "_dimacs_chunk", "_dimacs_numbers"}
+
+
+def test_engine_knows_nothing_about_fields():
+    """No engine or interchange function of graph.py loads a global name of
+    the field side, or a function or class of graph.py outside the engine:
+    the engine's group is evidence for the map family's only while the two
+    share no code."""
+    tree = ast.parse(Path(graph.__file__).read_text(encoding="utf-8"))
+    defined = {node.name: node for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert ENGINE <= defined.keys()
+    forbidden = ({"transform", "orbits", "space", "Field", "IntegralGraph"}
+                 | defined.keys() - ENGINE - {"AutGroupResult"})
+    for name in sorted(ENGINE):
+        nodes = list(ast.walk(defined[name]))
+        loaded = {node.id for node in nodes
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        bound = {node.id for node in nodes                # locals, such as a mask
+                 if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)}
+        bound |= {node.arg for node in nodes if isinstance(node, ast.arg)}
+        assert not (loaded - bound) & forbidden, name
 
 
 def test_engine_on_cycles():

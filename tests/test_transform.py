@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intaut import Field, NotABijectionError, automorphism_group, build_integral_graph
-from intaut.orbits import semiaffine_generators
+from intaut.orbits import orbits_under, semiaffine_generators
 from intaut.space import (canonical_index, class_of_pair, integral_matrix,
                           point_of_index)
 from intaut.transform import (SemiaffineMap, batch_preserves, cayley_preserves,
+                              check_bijection, cones_preserved,
                               map_permutation_array, normalize_map, preserves_cones,
                               preserves_integral, read_permutation_file,
                               recognize_semiaffine, recognize_semiaffine_batch,
@@ -513,6 +514,86 @@ def test_cone_and_zero_iff_agree_on_random_bijections(f3):
     # also on permutations known to satisfy the condition
     for perm in random.Random(5).sample(semiaffine_group(f3, 2), 20):
         assert satisfies_zero_iff(f3, 2, perm) == preserves_cones(f3, 2, perm)
+
+
+# -- the one permutation check ---------------------------------------------------
+
+# fields and dimensions whose q^n points the field-side entry points take
+ROW_INSTANCES = [(3, 1, 1), (5, 1, 1), (3, 1, 2), (3, 2, 1)]
+
+
+def row_entry_points(num, instance):
+    """Every library function that takes rows of permutations of range(num),
+    each called on a whole stack; the field-side ones only when num is the
+    q^n of an instance."""
+    relation = np.eye(num, dtype=bool)
+    calls = {
+        "check_bijection": lambda perms: [check_bijection(p, num) for p in perms],
+        "batch_preserves": lambda perms: batch_preserves(perms, relation),
+        "orbits_under": lambda perms: orbits_under(perms, num),
+    }
+    if instance is not None:
+        field, n = Field(*instance[:2]), instance[2]
+        calls.update({
+            "cayley_preserves": lambda perms: cayley_preserves(field, n, perms, relation),
+            "cones_preserved": lambda perms: cones_preserved(field, n, perms),
+            "recognize_semiaffine_batch":
+                lambda perms: recognize_semiaffine_batch(field, n, perms),
+        })
+    return calls
+
+
+@st.composite
+def permutation_stacks(draw):
+    """(num, instance, stack, fault): a stack of permutations of range(num),
+    possibly empty, and with a fault one row of it broken in one way, or
+    every row made a wrong length, or the whole stack made float."""
+    instance = draw(st.one_of(st.none(), st.sampled_from(ROW_INSTANCES)))
+    if instance is None:
+        num = draw(st.integers(0, 6))
+    else:
+        num = (instance[0] ** instance[1]) ** instance[2]
+    rows = draw(st.lists(st.permutations(range(num)), max_size=4))
+    stack = np.array(rows, dtype=np.intp).reshape(len(rows), num)
+    faults = ["length"] if rows else []
+    if rows and num:
+        faults += ["range", "float"] + (["repeat"] if num > 1 else [])
+    fault = draw(st.sampled_from([None, *faults]))
+    r = draw(st.integers(0, max(len(rows) - 1, 0)))
+    if fault == "length":
+        if num and draw(st.booleans()):
+            stack = stack[:, :-1]
+        else:
+            stack = np.concatenate((stack, np.zeros((len(rows), 1), dtype=np.intp)), axis=1)
+    elif fault == "range":
+        stack[r, draw(st.integers(0, num - 1))] = draw(st.sampled_from([-1, num]))
+    elif fault == "float":
+        stack = stack.astype(float)
+    elif fault == "repeat":
+        i, j = draw(st.lists(st.integers(0, num - 1), min_size=2, max_size=2,
+                             unique=True))
+        stack[r, i] = stack[r, j]
+    return num, instance, stack, fault
+
+
+@settings(max_examples=300, deadline=None)
+@given(permutation_stacks())
+def test_every_entry_point_takes_the_same_rows(case):
+    """One validator, one verdict: every entry point accepts the same
+    stacks, the empty one and size 0 among them, and refuses the same
+    broken ones with a ValueError.  A non-permutation row is a
+    NotABijectionError everywhere; a wrong length is one only to
+    check_bijection, which takes a single row, and a plain ValueError to
+    the stacked entry points."""
+    num, instance, stack, fault = case
+    for name, call in row_entry_points(num, instance).items():
+        if fault is None:
+            call(stack)
+            continue
+        with pytest.raises(ValueError) as info:
+            call(stack)
+        bijection = fault != "length" or name == "check_bijection"
+        assert isinstance(info.value, NotABijectionError) == bijection, name
 
 
 # -- permutation files ----------------------------------------------------------

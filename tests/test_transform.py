@@ -546,8 +546,9 @@ def row_entry_points(num, instance):
 @st.composite
 def permutation_stacks(draw):
     """(num, instance, stack, fault): a stack of permutations of range(num),
-    possibly empty, and with a fault one row of it broken in one way, or
-    every row made a wrong length, or the whole stack made float."""
+    possibly empty, and the fault put into it: None, a repeated image or an
+    out-of-range entry in one row, a wrong length of every row, or a float
+    dtype of the whole stack."""
     instance = draw(st.one_of(st.none(), st.sampled_from(ROW_INSTANCES)))
     if instance is None:
         num = draw(st.integers(0, 6))

@@ -7,6 +7,10 @@ key<TAB>value pair per line with --output tsv for scripting.  Exit codes:
 stderr).  Each command that takes --n refuses q^n above --max-points with
 exit 2; the library takes no such bound, only its bulk bounds on memory.
 
+A run builds only its own command's parser.  Help, an unknown command and
+every malformed argv go to the full parser (`build_parser`), so their text
+and exit codes are the full parser's: 0 for help, 2 for a malformed argv.
+
 `verify` holds every group as generators, never as an element list: the
 classification, the distance-zero and cone checks, and the rank and
 subdegrees all come from the automorphism engine's generators and the map
@@ -283,49 +287,86 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _verify_flags(sub):
+    _common_flags(sub)
+    sub.add_argument("--corrupt", action="store_true",
+                     help="test hook: toggle one adjacency bit before verifying")
+
+
+def _recognize_flags(sub):
+    _common_flags(sub)
+    sub.add_argument("--perm-file", required=True, help="permutation file path")
+
+
+def _export_flags(sub):
+    _common_flags(sub)
+    sub.add_argument("--format", choices=("graph6", "dimacs"), required=True)
+    sub.add_argument("--out", required=True, help="output file path")
+
+
+# name -> (help, the function that adds its flags, handler), in help order
+_COMMANDS = {
+    "field-info": ("field parameters and square census",
+                   lambda sub: _common_flags(sub, with_n=False), cmd_field_info),
+    "spheres": ("norm-class sizes: formula vs enumeration", _common_flags, cmd_spheres),
+    "verify": ("full verification suite for one instance", _verify_flags, cmd_verify),
+    "recognize": ("decompose a permutation file", _recognize_flags, cmd_recognize),
+    "export": ("write the graph in graph6 or DIMACS form", _export_flags, cmd_export),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command, its help and its error messages."""
     parser = argparse.ArgumentParser(
         prog="intaut",
         description="Integral-distance geometry over GF(p^h): sphere counts, "
                     "symmetry groups and their verification.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_info = subs.add_parser("field-info", help="field parameters and square census")
-    _common_flags(p_info, with_n=False)
-    p_info.set_defaults(func=cmd_field_info)
-
-    p_sph = subs.add_parser("spheres", help="norm-class sizes: formula vs enumeration")
-    _common_flags(p_sph)
-    p_sph.set_defaults(func=cmd_spheres)
-
-    p_ver = subs.add_parser("verify", help="full verification suite for one instance")
-    _common_flags(p_ver)
-    p_ver.add_argument("--corrupt", action="store_true",
-                       help="test hook: toggle one adjacency bit before verifying")
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_rec = subs.add_parser("recognize", help="decompose a permutation file")
-    _common_flags(p_rec)
-    p_rec.add_argument("--perm-file", required=True, help="permutation file path")
-    p_rec.set_defaults(func=cmd_recognize)
-
-    p_exp = subs.add_parser("export", help="write the graph in graph6 or DIMACS form")
-    _common_flags(p_exp)
-    p_exp.add_argument("--format", choices=("graph6", "dimacs"), required=True)
-    p_exp.add_argument("--out", required=True, help="output file path")
-    p_exp.set_defaults(func=cmd_export)
+    for name, (help_text, add_flags, handler) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        add_flags(sub)
+        sub.set_defaults(func=handler)
     return parser
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser.  Where ArgumentParser would print help or an
+    error and exit, it raises ArgumentError and prints nothing.  It keeps
+    -h, so that every argument reads as it does to the full parser: to
+    both, "-h x" is a flag and no --modulus value."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+    def print_help(self, file=None):
+        raise argparse.ArgumentError(None, "help requested")
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """The full parser's namespace for argv, from argv[0]'s parser alone
+    when that parser takes the rest cleanly.  Any other argv (help, an
+    unknown command, a missing or bad flag value, a stray argument) goes to
+    the full parser, which prints and exits as it always has."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        _, add_flags, handler = _COMMANDS[argv[0]]
+        parser = _CommandParser(prog=f"intaut {argv[0]}")
+        add_flags(parser)
+        parser.set_defaults(command=argv[0], func=handler)
+        try:
+            args, extras = parser.parse_known_args(argv[1:])
+            if not extras:
+                return args
+        except argparse.ArgumentError:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except TooLargeError as exc:
+    except (ConfigError, TooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception:

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -490,3 +491,75 @@ def test_export_too_large_exits_2(tmp_path):
     res = run_cli("export", "--p", "3", "--h", "1", "--n", "3",
                   "--format", "graph6", "--out", str(out), "--max-points", "5")
     assert res.returncode == 2
+
+
+# -- argument parsing --------------------------------------------------------------
+
+# every command, --p=3, the abbreviations --max and --corr, repeated flags
+# and --output tsv
+VALID_ARGVS = [
+    ["field-info", "--p", "3"],
+    ["field-info", "--p=3", "--h", "2", "--modulus", "2,2,1", "--output", "tsv"],
+    ["spheres", "--p", "3", "--n", "3", "--max", "10"],
+    ["spheres", "--p=3", "--n", "2", "--max-points", "10", "--p", "5"],
+    ["verify", "--p", "3", "--n", "3", "--corr"],
+    ["verify", "--p", "5", "--n", "2", "--output", "tsv", "--output", "text"],
+    ["recognize", "--n", "2", "--p", "3", "--perm-file", "perm.txt"],
+    ["export", "--p", "3", "--n", "2", "--format", "dimacs", "--out", "g.dimacs",
+     "--output", "tsv"],
+]
+
+# help, abbreviated help, missing and bad flag values, an unknown command and
+# stray arguments; "-h x" is a flag to the full parser and --m is ambiguous
+OTHER_ARGVS = [
+    [], ["--help"], ["-h"], ["verify", "-h"], ["verify", "--he"],
+    ["verify", "--p", "3"], ["verify", "--p", "x", "--n", "3"],
+    ["verify", "--p", "3", "--n", "3", "--output", "csv"],
+    ["field-info", "--p", "3", "--max-points", "5"], ["bogus"],
+    ["verify", "--p", "3", "--n", "3", "extra"],
+    ["verify", "--p", "3", "--n", "3", "--modulus", "-h x"],
+    ["verify", "--p", "3", "--n", "3", "--m", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS)
+def test_parse_args_matches_the_full_parser(argv):
+    assert vars(cli.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", OTHER_ARGVS)
+def test_other_argvs_get_the_full_parsers_output(argv, capsys):
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as run:
+        cli.main(argv)
+    assert (run.value.code, capsys.readouterr()) == (full.value.code, expected)
+
+
+def test_a_run_builds_only_its_commands_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(["verify", "--p", "3", "--n", "2"]) == 0
+    assert built == ["intaut verify"]
+    assert capsys.readouterr().out.split()[-2:] == ["status", "ok"]
+    built.clear()
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == 0
+    assert built == ["intaut", "intaut field-info", "intaut spheres", "intaut verify",
+                     "intaut recognize", "intaut export"]
+
+
+def test_import_intaut_loads_no_argument_parser():
+    env = dict(os.environ, PYTHONPATH=str(Path(intaut.__file__).resolve().parents[1]))
+    code = "import sys, intaut; print(sorted({'argparse', 'intaut.cli'} & set(sys.modules)))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env)
+    assert (res.returncode, res.stdout) == (0, "[]\n")

@@ -67,6 +67,10 @@ CASES = {
                            "--out", "graph.dimacs", "--max-points", "10"], 2, None),
     "spheres-961-raised": (["spheres", "--p", "31", "--h", "2", "--n", "2",
                             "--max-points", "923521"], 0, None),
+    # a command's help, and a bad flag value in its usage error
+    "verify-help": (["verify", "-h"], 0, None),
+    "verify-27-bad-output": (["verify", "--p", "3", "--n", "3", "--output", "csv"],
+                             2, None),
 }
 
 

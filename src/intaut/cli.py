@@ -7,9 +7,11 @@ key<TAB>value pair per line with --output tsv for scripting.  Exit codes:
 stderr).  Each command that takes --n refuses q^n above --max-points with
 exit 2; the library takes no such bound, only its bulk bounds on memory.
 
-A run builds only its own command's parser.  Help, an unknown command and
-every malformed argv go to the full parser (`build_parser`), so their text
-and exit codes are the full parser's: 0 for help, 2 for a malformed argv.
+A run builds only its own command's parser, which prints its own help and
+errors, 0 and 2 as exit codes, as the full parser (`build_parser`) would:
+that hands the arguments after the command to a subparser with the same
+flags and prog.  The full parser serves an argv that starts with no
+command, and one that leaves arguments over ("unrecognized arguments").
 
 `verify` holds every group as generators, never as an element list: the
 classification, the distance-zero and cone checks, and the rank and
@@ -329,36 +331,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser.  Where ArgumentParser would print help or an
-    error and exit, it raises ArgumentError and prints nothing.  It keeps
-    -h, so that every argument reads as it does to the full parser: to
-    both, "-h x" is a flag and no --modulus value."""
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
-
-    def print_help(self, file=None):
-        raise argparse.ArgumentError(None, "help requested")
-
-
 def parse_args(argv=None) -> argparse.Namespace:
-    """The full parser's namespace for argv, from argv[0]'s parser alone
-    when that parser takes the rest cleanly.  Any other argv (help, an
-    unknown command, a missing or bad flag value, a stray argument) goes to
-    the full parser, which prints and exits as it always has."""
+    """The full parser's namespace for argv.  When argv[0] names a command,
+    that command's parser reads the rest, printing and exiting as the full
+    parser would; the full parser reads only what it leaves over."""
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in _COMMANDS:
         _, add_flags, handler = _COMMANDS[argv[0]]
-        parser = _CommandParser(prog=f"intaut {argv[0]}")
+        parser = argparse.ArgumentParser(prog=f"intaut {argv[0]}")
         add_flags(parser)
         parser.set_defaults(command=argv[0], func=handler)
-        try:
-            args, extras = parser.parse_known_args(argv[1:])
-            if not extras:
-                return args
-        except argparse.ArgumentError:
-            pass
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
     return build_parser().parse_args(argv)
 
 

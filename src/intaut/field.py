@@ -16,9 +16,8 @@ the primitive element and the tables; nothing multiplies coefficient lists.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -142,12 +141,11 @@ def _beyond_memory(q: int) -> TooLargeError:
 class FieldTables:
     """Read-only arithmetic tables of a field, for vectorised gathers.
 
-    mul, the one q x q table that the norm classes never read, is built by
-    mul_from() on its first read and is a plain attribute from then on; a
-    failed allocation there raises TooLargeError, as add's does."""
+    mul, the one q x q table that the norm classes never read, is built
+    from power and log on its first read and cached; a failed allocation
+    there raises TooLargeError, as add's does."""
 
     add: np.ndarray        # q x q
-    mul: np.ndarray = dataclasses.field(init=False)  # q x q, on first read
     neg: np.ndarray        # q
     inv: np.ndarray        # q, inv[0] = 0 as a placeholder
     is_square: np.ndarray  # q, bool, zero counted as a square
@@ -155,22 +153,13 @@ class FieldTables:
     square_of: np.ndarray  # q, square_of[a] = a*a
     power: np.ndarray      # q - 1, power[e] = g^e for the primitive element g
     log: np.ndarray        # q, int64, power[log[a]] = a for a != 0; log[0] = 0
-    mul_from: InitVar      # () -> the read-only mul table
 
-    def __post_init__(self, mul_from):
-        object.__setattr__(self, "_mul_from", mul_from)
-
-    def __getattr__(self, name):
-        # only reached while mul is unset: normal lookup finds it once set
-        if name != "mul":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
+    @functools.cached_property
+    def mul(self) -> np.ndarray:  # q x q
         try:
-            mul = self._mul_from()
+            return _mul_table(self.power, self.log)
         except MemoryError:
             raise _beyond_memory(len(self.add)) from None
-        object.__setattr__(self, "mul", mul)
-        return mul
 
 
 class Field:
@@ -329,8 +318,10 @@ class Field:
 
         Raises TooLargeError when the q x q add table cannot be allocated;
         the first read of mul raises it when mul cannot."""
-        # not a functools.cached_property: its direct write into the instance
-        # dict slows every later attribute read, so every scalar operation
+        # not a functools.cached_property: its write into the instance dict
+        # slows every later attribute read, from about 10 to 29 ns, and a
+        # scalar operation reads several of a Field's.  FieldTables.mul is
+        # one, since a scalar operation reads one attribute of the tables.
         if self._tables is None:
             try:
                 self._tables = self._build_tables()
@@ -384,8 +375,7 @@ class Field:
         is_square = log % 2 == 0                         # zero included, by log[0]
         for arr in (add, neg, inv, is_square, frob, square_of, power, log):
             arr.setflags(write=False)
-        return FieldTables(add, neg, inv, is_square, frob, square_of, power, log,
-                           functools.partial(_mul_table, power, log))
+        return FieldTables(add, neg, inv, is_square, frob, square_of, power, log)
 
     def __eq__(self, other):
         if not isinstance(other, Field):

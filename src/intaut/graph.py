@@ -621,16 +621,16 @@ DIMACS_CHUNK = 1 << 16
 
 
 def _dimacs_breaks(chunk):
-    """Where str.splitlines() ends a line: \\n, \\v, \\f, \\r and \\x1c-\\x1e."""
-    return ((chunk - np.uint8(10)) <= 3) | ((chunk - np.uint8(28)) <= 2)
+    """Where a line ends: \\n, \\v, \\f and \\r."""
+    return (chunk - np.uint8(10)) <= 3
 
 
 def parse_dimacs(text) -> np.ndarray:
     """Adjacency matrix of a graph in DIMACS edge format (str or bytes).
 
-    The input must be ASCII.  Lines end at \\n, \\r, \\v, \\f and
-    \\x1c-\\x1e; fields are separated by runs of those, spaces, tabs and
-    \\x1f.  A line is one of:
+    The input must be ASCII.  Lines end at \\n, \\r, \\v and \\f; fields
+    are separated by runs of those, spaces and tabs, the ASCII whitespace
+    of bytes.split().  A line is one of:
 
     - blank, or a comment: its first field starts with ``c``;
     - the problem line ``p edge N M``, exactly once and before every edge;
@@ -727,12 +727,15 @@ def _dimacs_chunk(chunk, problem):
     chunk's edges as a 2 x k array of 1-based endpoints, U in row 0 and V
     in row 1.  A fault raises ValueError with the message of the chunk's
     first faulty line: the line faults found by masks give a first
-    candidate, and only the edge lines before it are read as numbers."""
+    candidate, and only the edge lines before it are read as numbers.
+    Their U and V fields get fault codes: 3 not ASCII digits, 2 10^18 or
+    more, 1 outside [1, N], else 0; the first line with a fault names it by
+    its higher code."""
     breaks = _dimacs_breaks(chunk)
     # space[i + 1]: chunk[i] separates fields; space[0] stands for a break
     space = np.empty(chunk.size + 1, dtype=bool)
     space[0] = True
-    np.logical_or(breaks, (chunk == 9) | ((chunk - np.uint8(31)) <= 1), out=space[1:])
+    np.logical_or(breaks, (chunk == 9) | (chunk == 32), out=space[1:])
     # field j is chunk[bounds[2j]:bounds[2j + 1]]
     bounds = np.flatnonzero(space[1:] != space[:-1])
     starts, ends = bounds[0::2], bounds[1::2]
@@ -777,8 +780,8 @@ def _dimacs_chunk(chunk, problem):
         if problem is not None:
             faults.append((k, f"second DIMACS problem line: {text(k)!r}"))
             break
-        parts = text(k).split()
-        if len(parts) != 4 or parts[1] != "edge" or not all(
+        parts = text(k).encode("ascii").split()     # at ASCII whitespace only
+        if len(parts) != 4 or parts[1] != b"edge" or not all(
                 x.isdigit() for x in parts[2:]):
             faults.append((k, f"bad DIMACS problem line: {text(k)!r}"))
             break
@@ -791,34 +794,17 @@ def _dimacs_chunk(chunk, problem):
     stop, message = min(faults, key=lambda f: f[0], default=(heads.size, None))
     edges = edges[edges < stop]       # well formed, after a good problem line
 
-    def read(lines):
-        """U and V of the given edge lines, or ValueError."""
-        uv = heads[lines] + _UV                  # the U and V fields
-        uv = _dimacs_numbers(chunk, starts[uv], ends[uv])
-        if uv.min() < 1 or int(uv.max()) > problem[0]:
-            raise ValueError(f"DIMACS edge out of range: endpoints must lie in "
-                             f"[1, {problem[0]}]")
-        return uv
-
     if not edges.size:
         uv = np.zeros((2, 0), dtype=np.int32)
     else:
-        try:
-            uv = read(edges)
-        except ValueError:
-            # a line fails alone iff it makes a prefix fail: bisect for the
-            # first, whose own message is the one reported
-            lo, hi = 0, edges.size                # edges[:lo] pass, edges[:hi] fail
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                try:
-                    read(edges[:mid])
-                except ValueError:
-                    hi = mid
-                else:
-                    lo = mid
-            read(edges[lo:hi])
-            raise
+        uv = heads[edges] + _UV                  # the U and V fields
+        uv, fault = _dimacs_numbers(chunk, starts[uv], ends[uv])
+        fault = np.where(fault, fault + 1, (uv < 1) | (uv > problem[0])).max(axis=0)
+        faulty = np.flatnonzero(fault)
+        if faulty.size:                           # a line before stop
+            message = (None, f"DIMACS edge out of range: endpoints must lie in "
+                             f"[1, {problem[0]}]", "DIMACS number out of range",
+                       "DIMACS numbers must be runs of ASCII digits")[fault[faulty[0]]]
     if message is not None:
         raise ValueError(message)
     return problem, uv
@@ -828,16 +814,18 @@ _UV = np.array([[1], [2]])
 
 
 def _dimacs_numbers(chunk, starts, ends):
-    """The decimal numbers in chunk[starts[i]:ends[i]], in an array of the
-    bounds' shape, or ValueError unless every field is ASCII digits below
-    10^18.  The values are int32 when no field is longer than 9 digits,
+    """The decimal numbers in chunk[starts[i]:ends[i]] and a fault code for
+    each, in two arrays of the bounds' shape.  The code is 0 for a run of
+    ASCII digits below 10^18, 1 for one of 10^18 or more and 2 for a field
+    that is not ASCII digits; a field's value is meaningful only where its
+    code is 0.  The values are int32 when no field is longer than 9 digits,
     else int64.
 
     One gather per decimal place reads that digit of every field, highest
     place first.  From the shortest field's length up, a field shorter than
     the place reads a masked 0 (its index may be clipped to the chunk's
     start).  Only the rare fields longer than 18 digits are read above that,
-    and there every byte must be a 0.
+    one at a time, and there every byte must be a 0.
     """
     lengths = ends - starts
     longest = int(lengths.max())
@@ -855,14 +843,9 @@ def _dimacs_numbers(chunk, starts, ends):
         values *= 10
         values += digits
         at += 1
-    if top.max() > 9:
-        raise ValueError("DIMACS numbers must be runs of ASCII digits")
-    if longest > _DIMACS_PLACES:
-        wide = np.flatnonzero(lengths > _DIMACS_PLACES)
-        high = np.concatenate([chunk[a:b - _DIMACS_PLACES] for a, b in zip(
-            starts.ravel()[wide].tolist(), ends.ravel()[wide].tolist())])
-        if ((high - np.uint8(ord("0"))) > 9).any():
-            raise ValueError("DIMACS numbers must be runs of ASCII digits")
-        if (high != ord("0")).any():
-            raise ValueError("DIMACS number out of range")
-    return values
+    fault = (top > 9) * np.uint8(2)
+    for i in np.flatnonzero(lengths > _DIMACS_PLACES).tolist():
+        high = chunk[starts.flat[i]:ends.flat[i] - _DIMACS_PLACES]
+        high = high - np.uint8(ord("0"))                 # the places from 10^18 up
+        fault.flat[i] = 2 if fault.flat[i] or (high > 9).any() else high.any()
+    return values, fault

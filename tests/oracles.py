@@ -99,8 +99,8 @@ def field_tables_oracle(field) -> FieldTables:
     """The arithmetic tables built directly: add digit-wise in base p, neg
     from the zero in each row of add, the rest from the powers of the least
     primitive element, multiplied out by polynomial arithmetic.  mul is built
-    here too, so reading the result's mul returns this table, not the
-    library's deferred build."""
+    here too and stored as the result's cached mul, so reading it returns
+    this table, not the library's deferred build."""
     q, p = field.q, field.p
     index = np.arange(q, dtype=np.int32)
     add = np.zeros((q, q), dtype=np.int32)
@@ -127,8 +127,9 @@ def field_tables_oracle(field) -> FieldTables:
     is_square = log % 2 == 0                         # zero included, by log[0]
     for arr in (add, mul, neg, inv, is_square, frob, square_of, power, log):
         arr.setflags(write=False)
-    return FieldTables(add, neg, inv, is_square, frob, square_of, power, log,
-                       lambda: mul)
+    tables = FieldTables(add, neg, inv, is_square, frob, square_of, power, log)
+    vars(tables)["mul"] = mul
+    return tables
 
 
 def norm_array_oracle(field, n: int) -> np.ndarray:

@@ -510,7 +510,9 @@ VALID_ARGVS = [
 ]
 
 # help, abbreviated help, missing and bad flag values, an unknown command and
-# stray arguments; "-h x" is a flag to the full parser and --m is ambiguous
+# stray arguments; "-h x" is a flag to the full parser and --m is ambiguous.
+# The command's parser reports a flag fault itself, the full parser an argv
+# with no command or with arguments left over.
 OTHER_ARGVS = [
     [], ["--help"], ["-h"], ["verify", "-h"], ["verify", "--he"],
     ["verify", "--p", "3"], ["verify", "--p", "x", "--n", "3"],
@@ -519,6 +521,11 @@ OTHER_ARGVS = [
     ["verify", "--p", "3", "--n", "3", "extra"],
     ["verify", "--p", "3", "--n", "3", "--modulus", "-h x"],
     ["verify", "--p", "3", "--n", "3", "--m", "4"],
+    ["verify", "--p", "3", "--n", "3", "--corrupt=x"],
+    ["export", "--p", "3", "--n", "2", "--format", "xml", "--out", "g.xml"],
+    ["recognize", "--p", "3", "--n", "2"],
+    ["verify", "--p", "3", "--n", "3", "--modulus"],
+    ["spheres", "--n", "3"],
 ]
 
 
@@ -549,6 +556,12 @@ def test_a_run_builds_only_its_commands_parser(monkeypatch, capsys):
     assert cli.main(["verify", "--p", "3", "--n", "2"]) == 0
     assert built == ["intaut verify"]
     assert capsys.readouterr().out.split()[-2:] == ["status", "ok"]
+    built.clear()
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", "--p", "x", "--n", "3"])     # a bad flag value
+    assert exit_.value.code == 2
+    assert built == ["intaut verify"]
+    assert "intaut verify: error: argument --p" in capsys.readouterr().err
     built.clear()
     with pytest.raises(SystemExit) as exit_:
         cli.main(["--help"])

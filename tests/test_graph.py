@@ -413,6 +413,15 @@ FIRST_FAULTS = [
     ("p edge x 1\ne 1 2\nxx\n", "bad DIMACS problem line: 'p edge x 1'"),
     ("p edge 3 9\ne 2 2\nxx\n", "unknown DIMACS line: 'xx'"),
     ("p edge 3 9\ne 2 2\ne 1 2\n", "DIMACS input has a self-loop"),
+    # of one line's faults, digits come before 10^18 and 10^18 before range
+    ("p edge 3 1\ne 10000000000000000000 x\n",
+     "DIMACS numbers must be runs of ASCII digits"),
+    ("p edge 3 1\ne 0 10000000000000000000\n", "DIMACS number out of range"),
+    ("p edge 3 1\ne 5 x\n", "DIMACS numbers must be runs of ASCII digits"),
+    ("p edge 3 2\ne 1 4\ne 1 x\n",
+     "DIMACS edge out of range: endpoints must lie in [1, 3]"),
+    ("p edge 3 2\ne 1 2\ne 1 x\ne 0 10000000000000000000\n",
+     "DIMACS numbers must be runs of ASCII digits"),
 ]
 
 

@@ -22,6 +22,7 @@ lists of the map family and of generated groups live in `oracles.py`.
 """
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -775,16 +776,16 @@ def dimacs_text_oracle(graph_):
 
 
 def parse_dimacs_oracle(text):
-    """Line by line with str.splitlines, str.split and int()."""
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
+    """Line by line: lines end at \\n, \\v, \\f and \\r, bytes.split()
+    separates fields and int() reads each field's text."""
+    if isinstance(text, str):
+        text = text.encode("utf-8")
     num = None
     adj = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for raw in re.split(rb"[\n\v\f\r]", text):
+        parts = [part.decode("utf-8") for part in raw.split()]
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise ValueError(f"bad DIMACS problem line: {raw!r}")
@@ -819,8 +820,8 @@ def parse_dimacs_oracle(text):
 def int_beyond_digits(data):
     """Whether a non-comment line holds a field that int() reads but that is
     not a run of ASCII digits, such as +1, 0_1 or -0."""
-    for line in data.decode("ascii").splitlines():
-        fields = line.split()
+    for line in re.split(rb"[\n\v\f\r]", data):
+        fields = [field.decode("ascii") for field in line.split()]
         if not fields or fields[0].startswith("c"):
             continue
         for field in fields[1:]:
@@ -900,10 +901,23 @@ def test_dimacs_parser_narrowed_inputs():
 def test_dimacs_parser_finds_lines_behind_whitespace():
     """A line's first field may follow whitespace before or after the break,
     also at the start of the input."""
-    text = "  p edge 3 2\n e 1 2\r\n\x1f\te\t2  3 \x1c c e 9 9\n\n"
+    text = "  p edge 3 2\n e 1 2\r\n\v\te\t2  3 \f c e 9 9\n\n"
     adj = graph.parse_dimacs(text)
     assert np.array_equal(adj, parse_dimacs_oracle(text))
     assert adj.sum() == 4
+
+
+def test_readers_refuse_a_field_split_by_x1c(tmp_path):
+    """\\x1c is whitespace to str.split() but an ordinary byte to all three
+    readers, which see one malformed field in "0\\x1c1"."""
+    with pytest.raises(ValueError, match="runs of ASCII digits"):
+        graph.parse_dimacs("p edge 2 1\ne 2 0\x1c1\n")
+    with pytest.raises(ValueError, match="invalid graph6 character"):
+        graph.parse_graph6("0\x1c1")
+    path = tmp_path / "perm.txt"
+    path.write_text("0\x1c1\n")
+    with pytest.raises(ValueError, match="not a run of ASCII digits"):
+        transform.read_permutation_file(path, 2)
 
 
 def test_dimacs_parser_reads_lines_across_chunks(monkeypatch):
@@ -957,8 +971,9 @@ def test_dimacs_reads_numbers_of_many_digits():
         assert adj[0, 1] and adj[1, 0]
     chunk = np.frombuffer(b" 999999999999999999 0000000000000000000000042\n",
                           dtype=np.uint8)
-    got = graph._dimacs_numbers(chunk, np.array([1, 20]), np.array([19, 45]))
+    got, fault = graph._dimacs_numbers(chunk, np.array([1, 20]), np.array([19, 45]))
     assert got.tolist() == [999999999999999999, 42]
+    assert fault.tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("field", [

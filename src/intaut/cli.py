@@ -334,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv=None) -> argparse.Namespace:
     """The full parser's namespace for argv.  When argv[0] names a command,
     that command's parser reads the rest, printing and exiting as the full
-    parser would; the full parser reads only what it leaves over."""
+    parser would.  The full parser reads every other argv, and one that the
+    command's parser leaves arguments of."""
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in _COMMANDS:
         _, add_flags, handler = _COMMANDS[argv[0]]

@@ -95,11 +95,12 @@ def m_generators(field: Field, n: int) -> np.ndarray:
     purpose: it is infeasible already for moderate n even when q^n is small.
 
     When the q^n images of every generator would exceed
-    space.MAX_BULK_ENTRIES it raises TooLargeError, on every call; below
-    that it returns the cached read-only (k, q^n) array `_m_images`.
+    space.MAX_BULK_ENTRIES it raises TooLargeError, on every call, counting
+    the generators from the norm histogram, with no pass over the points;
+    below that it returns the cached read-only (k, q^n) array `_m_images`.
     """
     total = space.num_points(field, n)
-    anisotropic = np.count_nonzero(space._norm_array(field, n))
+    anisotropic = total - space._norm_census(field, n)[0]
     count = anisotropic // (field.q - 1) + 1         # classes and the scalar
     if count * total > space.MAX_BULK_ENTRIES:
         raise TooLargeError(

@@ -130,14 +130,45 @@ def classify(field: Field, v) -> SphereClass:
 
 
 def sphere_counts_enumerated(field: Field, n: int) -> SphereCounts:
-    """Exact class sizes by classifying every point; the brute-force oracle."""
-    norms = _norm_array(field, n)
-    zero_norms = int(np.count_nonzero(norms == 0))
-    squares = int(np.count_nonzero(field.tables.is_square[norms]))
+    """Exact class sizes, counted from the norm histogram (_norm_census) with
+    no symmetry argument and no code shared with sphere_counts_formula, so
+    each checks the other; the tests check both against a per-point scan."""
+    zero_norms, squares = _norm_census(field, n)
     return SphereCounts(isotropic=zero_norms - 1,  # origin excluded
                         square=squares - zero_norms,
                         nonsquare=field.q ** n - squares,
                         eps=0 if field.q % 4 == 1 else 1)
+
+
+def _norm_census(field: Field, n: int) -> tuple:
+    """(zero, square): the numbers of points of GF(q)^n whose norm is 0 and
+    whose norm is a square, 0 included; exact integers.
+
+    hist[w] counts the points of GF(q)^k of norm w.  A new coordinate x adds
+    x^2, which is the square s for mult[s] values of x (1 for s = 0, else 2),
+    so the next histogram is hist[w - s] summed over the squares s weighted
+    by mult[s]: q (q + 1) / 2 gathers a coordinate instead of one norm per
+    point.  The last coordinate only totals the norm 0 and the square norms,
+    over the support of the histogram before it.  Counts reach q^n, so from
+    2^63 on the arrays hold Python ints.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    tb = field.tables
+    q = field.q
+    dtype = np.int64 if q ** n < 2 ** 63 else object
+    mult = np.bincount(tb.square_of, minlength=q).astype(dtype)
+    sq = np.flatnonzero(mult)                           # the squares, 0 included
+    weights = mult[sq]
+    # the histogram of GF(q)^1, or for n = 1, where the first coordinate is
+    # the last, of GF(q)^0: the origin alone
+    hist = mult if n > 1 else (np.arange(q) == 0).astype(dtype)
+    for _ in range(n - 2):
+        hist = hist[tb.add[:, tb.neg[sq]]] @ weights
+    supp = np.flatnonzero(hist)
+    zero = hist[tb.neg[sq]] @ weights
+    square = hist[supp] @ (tb.is_square[tb.add[supp[:, None], sq]] @ weights)
+    return int(zero), int(square)
 
 
 def sphere_counts_formula(field: Field, n: int) -> SphereCounts:

@@ -2,7 +2,8 @@
 
 Production works on generators and on gathers over `Field.tables`; the
 helpers here take the direct routes it does not: field arithmetic and
-field tables by polynomial arithmetic, norms summed over the point matrix,
+field tables by polynomial arithmetic, norms summed over the point matrix
+and the sphere classes counted from them point by point,
 maps applied point by point with scalar field arithmetic, every orthogonal
 matrix (by row backtracking and by a full scan), every element of the map
 family, and the explicit group closure with its point-stabilizer orbits.
@@ -140,6 +141,17 @@ def norm_array_oracle(field, n: int) -> np.ndarray:
     for j in range(1, n):
         acc = tb.add[acc, tb.square_of[pts[:, j]]]
     return acc
+
+
+def sphere_counts_oracle(field, n: int) -> space.SphereCounts:
+    """Class sizes by classifying the norm of every point, one by one."""
+    norms = norm_array_oracle(field, n)
+    zero_norms = int(np.count_nonzero(norms == 0))
+    squares = int(np.count_nonzero(field.tables.is_square[norms]))
+    return space.SphereCounts(isotropic=zero_norms - 1,  # origin excluded
+                              square=squares - zero_norms,
+                              nonsquare=field.q ** n - squares,
+                              eps=0 if field.q % 4 == 1 else 1)
 
 
 # -- small matrices as tuples of row tuples of element indices -------------------

@@ -495,10 +495,10 @@ def test_formats_round_trip_random_graphs(adj):
 # Inputs in each format's own alphabet reach the parsers' checks far more
 # often than raw bytes do, and keep every declared size small.
 GRAPH6_LIKE = st.lists(st.integers(63, 126), max_size=12).map(bytes)
-# the ASCII line ends of str.splitlines(), and runs of the rest of the ASCII
-# whitespace of str.split()
-LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
-SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t", "\x1f"])
+# the line ends of parse_dimacs, \n, \r, \v and \f, and runs of space and
+# tab: the ASCII whitespace that every reader shares
+LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c"]
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t"])
 # an integer as int() reads it: plain, with leading zeros, a sign or an
 # underscore between digits
 DIMACS_INT = st.tuples(st.integers(-1, 6), st.sampled_from(["", "0", "00", "+", "0_"])).map(

@@ -217,6 +217,18 @@ def test_m_generators_refuse_beyond_the_bulk_bound(f3, monkeypatch):
         m_generators(f3, 3)
 
 
+def test_m_generators_refuse_without_a_pass_over_the_points(monkeypatch):
+    def per_point(field, n):
+        raise AssertionError("a norm for every point")
+
+    monkeypatch.setattr(space, "_norm_array", per_point)
+    f3 = Field(3)
+    counts = space.sphere_counts_formula(f3, 20)
+    classes = (counts.square + counts.nonsquare) // 2   # anisotropic, up to sign
+    with pytest.raises(TooLargeError, match=f"{classes + 1} generators on {3 ** 20} points"):
+        m_generators(f3, 20)
+
+
 # -- stabilizer orbits -----------------------------------------------------------
 
 def test_stabilizer_subdegrees_27(sa33):

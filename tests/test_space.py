@@ -10,7 +10,7 @@ from intaut.space import (CACHE_SIZE, SphereClass,
                           distance, enumerate_points, is_integral, norm,
                           point_matrix, point_of_index, sphere_counts_enumerated,
                           sphere_counts_formula, vec_add)
-from oracles import norm_array_oracle
+from oracles import norm_array_oracle, sphere_counts_oracle
 from test_oracles import cone
 
 # (p, h, n) for every grid instance with q^n <= 20000
@@ -140,6 +140,23 @@ def test_formula_equals_enumeration(p, h, n):
     assert sphere_counts_formula(f, n) == sphere_counts_enumerated(f, n)
 
 
+@pytest.mark.parametrize("p,h,n", [(3, 1, 40), (3, 1, 41), (5, 1, 28)])
+def test_counts_stay_exact_beyond_int64(p, h, n):
+    """q^n >= 2^63; at 3^41 and 5^28 the count of square norms is too, so
+    int64 counts would wrap."""
+    f = Field(p, h)
+    assert f.q ** n >= 2 ** 63
+    counts = sphere_counts_enumerated(f, n)
+    assert counts == sphere_counts_formula(f, n)
+    assert 1 + counts.isotropic + counts.square + counts.nonsquare == f.q ** n
+
+
+@pytest.mark.parametrize("counts", [sphere_counts_formula, sphere_counts_enumerated])
+def test_counts_refuse_n_below_one(f3, counts):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        counts(f3, 0)
+
+
 @pytest.mark.parametrize("p,h,n", GRID)
 def test_counts_partition_the_space(p, h, n):
     f = Field(p, h)
@@ -198,9 +215,13 @@ def test_scalar_norms_never_build_mul():
     assert "mul" not in vars(f.tables)
 
 
+# default moduli and, for h > 1, one that is not the default
+NORM_MODULI = [(3, 1, None), (7, 1, None), (3, 2, (2, 2, 1)), (5, 2, (2, 1, 1)),
+               (3, 3, (1, 0, 2, 1))]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("p,h,modulus", [(3, 1, None), (7, 1, None), (3, 2, (2, 2, 1)),
-                                         (5, 2, (2, 1, 1)), (3, 3, (1, 0, 2, 1))])
+@pytest.mark.parametrize("p,h,modulus", NORM_MODULI)
 def test_norm_array_equals_the_point_matrix_route(p, h, modulus, n):
     f = Field(p, h, modulus)
     if modulus is not None:
@@ -209,6 +230,13 @@ def test_norm_array_equals_the_point_matrix_route(p, h, modulus, n):
     assert (got.dtype, got.shape, got.flags.writeable) == (
         want.dtype, want.shape, want.flags.writeable)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p,h,modulus", NORM_MODULI)
+def test_histogram_counts_equal_the_per_point_scan(p, h, modulus, n):
+    f = Field(p, h, modulus)
+    assert sphere_counts_enumerated(f, n) == sphere_counts_oracle(f, n)
 
 
 @pytest.mark.parametrize("p,h,n", [(3, 1, 3), (5, 1, 2), (3, 2, 2), (7, 1, 3)])

@@ -5,9 +5,11 @@ Elements are addressed by their canonical index: the coefficient vector
 first, read as a base-p integer.  Index 0 is zero and index 1 is one, so
 tuples of indices can be compared, hashed and packed without further
 bookkeeping.  Every arithmetic operation, scalar or bulk, reads the
-read-only tables of `Field.tables`, built on first use; of them the q x q
-multiplication table is built only on its own first read.  All operations
-are pure; a Field is immutable once built.
+read-only tables of `Field.tables`, all built at once on first use; the
+addition table is the only q x q one.  A product is g^(log a + log b) for
+the primitive element g, read from the powers and discrete logs, so no
+multiplication table is kept.  All operations are pure; a Field is
+immutable once built.
 
 GF(p)[x]/(f) has one model: the matrices over GF(p) of a -> a b.  Rabin's
 test on the matrix of x vets the modulus, the matrices of the elements give
@@ -16,7 +18,6 @@ the primitive element and the tables; nothing multiplies coefficient lists.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,25 +126,9 @@ def least_irreducible(p: int, h: int) -> tuple:
     raise InternalInconsistencyError("no irreducible polynomial found")
 
 
-def _square_zeros(q: int) -> np.ndarray:
-    """A q x q int32 array of zeros; MemoryError when it cannot be allocated."""
-    try:
-        return np.zeros((q, q), dtype=np.int32)
-    except ValueError:   # numpy's "array is too big": beyond the address space
-        raise MemoryError from None
-
-
-def _beyond_memory(q: int) -> TooLargeError:
-    return TooLargeError(f"the arithmetic tables of GF({q}) do not fit in memory")
-
-
 @dataclass(frozen=True)
 class FieldTables:
-    """Read-only arithmetic tables of a field, for vectorised gathers.
-
-    mul, the one q x q table that the norm classes never read, is built
-    from power and log on its first read and cached; a failed allocation
-    there raises TooLargeError, as add's does."""
+    """Read-only arithmetic tables of a field, for vectorised gathers."""
 
     add: np.ndarray        # q x q
     neg: np.ndarray        # q
@@ -154,12 +139,12 @@ class FieldTables:
     power: np.ndarray      # q - 1, power[e] = g^e for the primitive element g
     log: np.ndarray        # q, int64, power[log[a]] = a for a != 0; log[0] = 0
 
-    @functools.cached_property
-    def mul(self) -> np.ndarray:  # q x q
-        try:
-            return _mul_table(self.power, self.log)
-        except MemoryError:
-            raise _beyond_memory(len(self.add)) from None
+    def mul(self, a, b) -> np.ndarray:
+        """The int32 products of two broadcastable arrays of element indices:
+        g^(log a + log b), and 0 where either factor is 0."""
+        a, b = np.asarray(a), np.asarray(b)
+        prod = self.power[(self.log[a] + self.log[b]) % len(self.power)]
+        return np.where((a != 0) & (b != 0), prod, 0)
 
 
 class Field:
@@ -238,8 +223,13 @@ class Field:
         return self.tables.neg.item(a)
 
     def mul(self, a: int, b: int) -> int:
+        """g^(log a + log b) for the primitive element g, or 0 when a or b is."""
         self._check(a, b)
-        return self.tables.mul.item(a, b)
+        if a == 0 or b == 0:
+            return 0
+        tables = self.tables
+        e = tables.log.item(a) + tables.log.item(b)
+        return tables.power.item(e % (self.q - 1))
 
     def square(self, a: int) -> int:
         self._check(a)
@@ -313,20 +303,18 @@ class Field:
 
     @property
     def tables(self) -> FieldTables:
-        """The arithmetic tables as read-only numpy arrays, built on first use,
-        except mul, built on the first read of tables.mul.
-
-        Raises TooLargeError when the q x q add table cannot be allocated;
-        the first read of mul raises it when mul cannot."""
+        """The arithmetic tables as read-only numpy arrays, all built on
+        first use.  Raises TooLargeError when the q x q add table cannot be
+        allocated."""
         # not a functools.cached_property: its write into the instance dict
         # slows every later attribute read, from about 10 to 29 ns, and a
-        # scalar operation reads several of a Field's.  FieldTables.mul is
-        # one, since a scalar operation reads one attribute of the tables.
+        # scalar operation reads several of a Field's.
         if self._tables is None:
             try:
                 self._tables = self._build_tables()
             except MemoryError:
-                raise _beyond_memory(self.q) from None
+                raise TooLargeError(f"the arithmetic tables of GF({self.q}) "
+                                    "do not fit in memory") from None
         return self._tables
 
     def _build_tables(self) -> FieldTables:
@@ -341,10 +329,12 @@ class Field:
         rows g^0 .. g^(k-1), times that matrix to the k, are g^k .. g^(2k-1).
         neg, inv, frob and square_of then gather from the powers by logs;
         -1 is g^((q-1)/2), so neg adds (q-1)/2 to each log.  The powers and
-        logs are kept as tables too, for pow.  mul is left to _mul_table, on
-        its first read."""
+        logs are kept as tables too, for pow and mul."""
         q, p, h = self.q, self.p, self.h
-        add = _square_zeros(q)
+        try:
+            add = np.zeros((q, q), dtype=np.int32)
+        except ValueError:   # numpy's "array is too big": beyond the address space
+            raise MemoryError from None
         digits = np.arange(p, dtype=np.int32)
         twice = np.concatenate((digits, digits))         # twice[a + b] = (a + b) % p
         low = np.zeros((1, 1), dtype=np.int32)           # the table of no digits
@@ -388,24 +378,6 @@ class Field:
     def __repr__(self):
         poly = poly_str(self.modulus)
         return f"Field({self.p}, {self.h}, modulus={poly})"
-
-
-def _mul_table(power: np.ndarray, log: np.ndarray) -> np.ndarray:
-    """The read-only int32 q x q table mul[a, b] = g^(log a + log b), zero
-    in row and column 0, from power[e] = g^e and the logs.
-
-    Filled block by block of rows, it gathers from the powers written twice,
-    so that no log sum needs a modulo, and no q x q temporary is made."""
-    q = len(log)
-    mul = _square_zeros(q)
-    e = log.astype(np.int32)
-    cycle = np.concatenate((power, power))               # cycle[e] = g^e, e < 2q - 2
-    rows = max(1, 2 ** 16 // q)                          # blocks of log sums stay small
-    for r in range(0, q, rows):
-        np.take(cycle, e[r:r + rows, None] + e, out=mul[r:r + rows])
-    mul[0, :] = mul[:, 0] = 0
-    mul.setflags(write=False)
-    return mul
 
 
 def poly_str(coeffs) -> str:

@@ -108,7 +108,7 @@ def m_generators(field: Field, n: int) -> np.ndarray:
     return _m_images(field, n)
 
 
-@functools.lru_cache(maxsize=space.CACHE_SIZE)
+@functools.lru_cache(maxsize=1)
 def _m_images(field: Field, n: int) -> np.ndarray:
     """Read-only array of the m_generators images, the scalar map first.
 
@@ -124,15 +124,15 @@ def _m_images(field: Field, n: int) -> np.ndarray:
     ks = np.flatnonzero(norms)                       # the anisotropic points
     pts = points[ks]
     lead = pts[np.arange(ks.size), (pts != 0).argmax(axis=1)]
-    unit = tb.mul[tb.inv[lead][:, None], pts] @ field.q ** np.arange(n)
+    unit = tb.mul(tb.inv[lead][:, None], pts) @ field.q ** np.arange(n)
     first = np.full(total, total)
     np.minimum.at(first, unit, ks)                   # least point of each class
     reps = np.flatnonzero(first < total)
     reps = reps[np.argsort(first[reps])]
     v = points[reps]
-    coef = tb.mul[tb.mul[tb.add[1, 1], tb.inv[norms[reps]]][:, None], v]
+    coef = tb.mul(tb.mul(tb.add[1, 1], tb.inv[norms[reps]])[:, None], v)
     eye = np.eye(n, dtype=np.intp)
-    reflections = tb.add[tb.neg[tb.mul[coef[:, :, None], v[:, None, :]]], eye]
+    reflections = tb.add[tb.neg[tb.mul(coef[:, :, None], v[:, None, :])], eye]
     scalar = eye * field.primitive_element()
     matrices = np.concatenate((scalar[None], reflections))
     images = transform.map_permutation_array(field, n, 1, 0, matrices, (0,) * n)

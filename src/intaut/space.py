@@ -22,8 +22,6 @@ from .field import Field
 DEFAULT_MAX_POINTS = 100_000
 # entries a bulk table may hold: the pair class codes, the reflection images
 MAX_BULK_ENTRIES = 4_000_000
-# (field, n) pairs whose bulk tables stay cached; the least recently used go
-CACHE_SIZE = 8
 
 
 class SphereClass(enum.Enum):
@@ -197,10 +195,11 @@ def sphere_counts_formula(field: Field, n: int) -> SphereCounts:
 
 
 # ---------------------------------------------------------------------------
-# bulk views used by the permutation and graph machinery (cached: read-only)
+# bulk views used by the permutation and graph machinery, read-only and
+# cached for the last (field, n) pair
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@functools.lru_cache(maxsize=1)
 def point_matrix(field: Field, n: int) -> np.ndarray:
     """q^n x n array of coordinates, row k = point_of_index(k)."""
     q = field.q
@@ -232,7 +231,7 @@ def _code_of_norm(field: Field) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@functools.lru_cache(maxsize=1)
 def class_of_pair(field: Field, n: int) -> np.ndarray:
     """q^n x q^n uint8 array: entry (u, v) is the class code of x_u - x_v.
     Over MAX_BULK_ENTRIES entries it raises TooLargeError; lru_cache caches
@@ -271,7 +270,7 @@ def zero_distance_matrix(field: Field, n: int) -> np.ndarray:
     return class_of_pair(field, n) <= 1
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
+@functools.lru_cache(maxsize=1)
 def class_of_point(field: Field, n: int) -> np.ndarray:
     """Class code of every point, indexed by canonical point index."""
     out = _code_of_norm(field)[_norm_array(field, n)]

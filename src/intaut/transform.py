@@ -97,8 +97,8 @@ def map_permutation_array(field, n, scale, frob, matrix, shift) -> np.ndarray:
         raise ValueError(f"frob must lie in [0, {field.h})")
     shifts = np.broadcast_to(shifts, (len(stack), n))
     # terms[k, i, j, x] = frob(x) * (scale * M_k[i][j])
-    terms = tb.mul[tb.frob[frob][:, None, None, None],
-                   tb.mul[scale, stack][None]].transpose(1, 2, 3, 0)
+    terms = tb.mul(tb.frob[frob][:, None, None, None],
+                   tb.mul(scale, stack)[None]).transpose(1, 2, 3, 0)
     out = np.zeros((stack.shape[0], q ** n), dtype=np.int32)
     for j in range(n - 1, -1, -1):
         acc = tb.add[terms[:, n - 1, j], shifts[:, j, None]]
@@ -283,13 +283,13 @@ def recognize_semiaffine_batch(field: Field, n: int, perms) -> list:
     tb = field.tables
     perms = _permutation_rows(perms, space.num_points(field, n))
     shift, B, frob = _semilinear_parts(field, n, perms)
-    terms = tb.mul[B[:, :, None, :], B[:, None, :, :]]  # [r, i, j, k] = B[i][k] B[j][k]
+    terms = tb.mul(B[:, :, None, :], B[:, None, :, :])  # [r, i, j, k] = B[i][k] B[j][k]
     gram = functools.reduce(lambda acc, t: tb.add[acc, t], np.moveaxis(terms, 3, 0))
     c = gram[:, 0, 0]
     ok = ((frob >= 0) & (c != 0) & tb.is_square[c]
           & (gram == c[:, None, None] * np.eye(n, dtype=np.intp)).all(axis=(1, 2)))
     root = (tb.square_of == c[:, None]).argmax(axis=1)  # least root where c is a square
-    matrix = tb.mul[tb.inv[root][:, None, None], B]
+    matrix = tb.mul(tb.inv[root][:, None, None], B)
     return [normalize_map(field, SemiaffineMap(
                 int(root[r]), int(frob[r]), _rows(matrix[r]), tuple(shift[r].tolist())))
             if ok[r] else None for r in range(len(perms))]
@@ -317,9 +317,8 @@ def zero_iff_preserved(field: Field, n: int, perms) -> np.ndarray:
 CONE_BLOCK = 1 << 16
 
 
-@functools.lru_cache(maxsize=space.CACHE_SIZE)
 def _cones(field: Field, n: int) -> np.ndarray:
-    """Read-only int32 matrix whose row v is the cone of vertex v, the points
+    """int32 matrix whose row v is the cone of vertex v, the points
     at squared distance zero from it, as ascending point indices.
 
     Distance zero is invariant under translation, so every cone has as many
@@ -336,7 +335,6 @@ def _cones(field: Field, n: int) -> np.ndarray:
         if (np.count_nonzero(zero, axis=1) != size).any():
             raise InternalInconsistencyError("cones of different sizes")
         cones[a:a + rows] = np.nonzero(zero)[1].reshape(-1, size)    # row-major
-    cones.setflags(write=False)
     return cones
 
 

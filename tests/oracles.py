@@ -99,9 +99,7 @@ def primitive_element_oracle(field) -> int:
 def field_tables_oracle(field) -> FieldTables:
     """The arithmetic tables built directly: add digit-wise in base p, neg
     from the zero in each row of add, the rest from the powers of the least
-    primitive element, multiplied out by polynomial arithmetic.  mul is built
-    here too and stored as the result's cached mul, so reading it returns
-    this table, not the library's deferred build."""
+    primitive element, multiplied out by polynomial arithmetic."""
     q, p = field.q, field.p
     index = np.arange(q, dtype=np.int32)
     add = np.zeros((q, q), dtype=np.int32)
@@ -118,19 +116,24 @@ def field_tables_oracle(field) -> FieldTables:
     power = np.array(powers, dtype=np.int32)         # power[e] = g^e
     log = np.zeros(q, dtype=np.int64)                # log[0] = 0: see below
     log[power] = np.arange(order)
-    e = log.astype(np.int32)
-    mul = power[(e[:, None] + e[None, :]) % order]
-    mul[0, :] = mul[:, 0] = 0
     inv = power[-log % order]
     frob = np.stack([power[log * p ** i % order] for i in range(field.h)])
     square_of = power[2 * log % order]
     inv[0] = frob[:, 0] = square_of[0] = 0
     is_square = log % 2 == 0                         # zero included, by log[0]
-    for arr in (add, mul, neg, inv, is_square, frob, square_of, power, log):
+    for arr in (add, neg, inv, is_square, frob, square_of, power, log):
         arr.setflags(write=False)
-    tables = FieldTables(add, neg, inv, is_square, frob, square_of, power, log)
-    vars(tables)["mul"] = mul
-    return tables
+    return FieldTables(add, neg, inv, is_square, frob, square_of, power, log)
+
+
+def mul_table_oracle(tables) -> np.ndarray:
+    """The read-only q x q product table of field_tables_oracle's tables:
+    mul[a, b] = g^(log a + log b), zero in row and column 0."""
+    e = tables.log.astype(np.int32)
+    mul = tables.power[(e[:, None] + e[None, :]) % len(tables.power)]
+    mul[0, :] = mul[:, 0] = 0
+    mul.setflags(write=False)
+    return mul
 
 
 def norm_array_oracle(field, n: int) -> np.ndarray:

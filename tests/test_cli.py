@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import intaut
-from intaut import (Field, InternalInconsistencyError, TooLargeError, cli, graph,
-                    orbits, space, to_permutation, transform, write_permutation_file)
+from intaut import (Field, InternalInconsistencyError, cli, graph, orbits, space,
+                    to_permutation, transform, write_permutation_file)
 from intaut import field as fieldmod
 from intaut.transform import SemiaffineMap
 from oracles import enumerate_orthogonal
@@ -65,12 +65,10 @@ def test_field_tables_beyond_memory_exit_2(monkeypatch, capsys):
 
 class SquareTables:
     """numpy, recording the shape of every square np.zeros of more than one
-    entry, the q x q tables; with refuse=k the k-th of them fails the way an
-    allocation beyond the machine's memory does."""
+    entry, the q x q tables."""
 
-    def __init__(self, refuse=None):
+    def __init__(self):
         self.square = []
-        self.refuse = refuse
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -78,15 +76,13 @@ class SquareTables:
     def zeros(self, shape, dtype=float):
         if isinstance(shape, tuple) and len(shape) == 2 and shape[0] == shape[1] > 1:
             self.square.append(shape)
-            if len(self.square) == self.refuse:
-                raise MemoryError(f"Unable to allocate an array of shape {shape}")
         return np.zeros(shape, dtype=dtype)
 
 
 def _clear_bulk_caches():
     # a cached bulk table would skip the table reads of a fresh field
     for cached in (space.point_matrix, space.class_of_pair, space.class_of_point,
-                   transform._cones, orbits._m_images):
+                   orbits._m_images):
         cached.cache_clear()
 
 
@@ -95,42 +91,22 @@ def _clear_bulk_caches():
      [(961, 961)]),
     (["field-info", "--p", "31", "--h", "2"], [(961, 961)]),
     (["export", "--p", "3", "--n", "3", "--format", "graph6"], [(3, 3)]),
-    (["verify", "--p", "3", "--n", "3"], [(3, 3), (3, 3)])])
+    (["verify", "--p", "3", "--n", "3"], [(3, 3)]),
+    (["recognize", "--p", "3", "--n", "3"], [(3, 3)])])
 def test_only_commands_that_multiply_build_mul(monkeypatch, tmp_path, argv, tables):
-    """spheres, field-info and export read no product of field elements, so
-    they allocate add alone; verify allocates mul as well."""
+    """No command builds a product table: every command, verify and
+    recognize that multiply included, allocates exactly one (q, q) array,
+    add."""
     _clear_bulk_caches()
     fake = SquareTables()
     monkeypatch.setattr(fieldmod, "np", fake)
     if argv[0] == "export":
         argv = argv + ["--out", str(tmp_path / "g.g6")]
+    if argv[0] == "recognize":
+        write_permutation_file(tmp_path / "id.perm", range(27))
+        argv = argv + ["--perm-file", str(tmp_path / "id.perm")]
     assert cli.main(argv) == 0
     assert fake.square == tables
-
-
-@pytest.mark.parametrize("read", [lambda f: f.tables.mul, lambda f: f.mul(2, 3)],
-                         ids=["tables.mul", "Field.mul"])
-def test_deferred_mul_beyond_memory_is_too_large(monkeypatch, read):
-    """mul is the second q x q table; when only its allocation fails, its
-    first read is the same refusal as add's, and add's tables stay usable."""
-    fake = SquareTables(refuse=2)
-    monkeypatch.setattr(fieldmod, "np", fake)
-    f = Field(31)
-    assert f.tables.add.shape == (31, 31)
-    with pytest.raises(TooLargeError) as info:
-        read(f)
-    assert str(info.value) == "the arithmetic tables of GF(31) do not fit in memory"
-    assert fake.square == [(31, 31), (31, 31)]
-    assert f.add(20, 13) == 2 and f.tables.add[20, 13] == 2
-    assert f.is_square(5) and not f.is_square(3)
-
-
-def test_deferred_mul_beyond_memory_exit_2(monkeypatch, capsys):
-    """verify multiplies, so a refused mul is its refusal: exit 2, one line."""
-    monkeypatch.setattr(fieldmod, "np", SquareTables(refuse=2))
-    assert cli.main(["verify", "--p", "3", "--n", "3"]) == cli.USAGE_ERROR
-    assert capsys.readouterr() == (
-        "", "error: the arithmetic tables of GF(3) do not fit in memory\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -318,7 +294,7 @@ def test_verify_peak_memory_per_pair(capsys):
     allocations per pair of points (9.9 measured).  The engine's 8
     generators are checked as one stack, and a stacked check holding one
     N x N block per generator would add 8 bytes per pair."""
-    Field(3).tables.mul                   # built before tracing starts
+    Field(3).tables                       # built before tracing starts
     _clear_bulk_caches()
     tracemalloc.start()
     try:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from intaut import Field, is_irreducible, least_irreducible
 from intaut.field import poly_str
 from oracles import (add_slow, field_tables_oracle, is_irreducible_oracle, mul_slow,
-                     pow_slow, primitive_element_oracle)
+                     mul_table_oracle, pow_slow, primitive_element_oracle)
 
 SMALL_FIELDS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)]
 
@@ -161,10 +161,11 @@ def test_pow_matches_polynomial_arithmetic(p, h):
 
 
 def test_pow_does_not_build_mul():
+    """pow reads the powers and logs; nothing is stored on the tables."""
     f = Field(3, 8)
     assert f.pow(2, 5) == pow_slow(f, 2, 5)
     assert f.pow(f.q - 1, -3) == pow_slow(f, pow_slow(f, f.q - 1, f.q - 2), 3)
-    assert "mul" not in vars(f.tables)
+    assert vars(f.tables).keys() == {fld.name for fld in dataclasses.fields(f.tables)}
 
 
 def test_out_of_range_rejected(f3):
@@ -327,7 +328,7 @@ def _check_tables(f, pairs, singles):
     t = f.tables
     for a, b in pairs:
         assert t.add[a, b] == add_slow(f, a, b)
-        assert t.mul[a, b] == mul_slow(f, a, b)
+        assert t.mul(a, b) == mul_slow(f, a, b)
     for a in singles:
         assert add_slow(f, a, int(t.neg[a])) == 0
         assert t.square_of[a] == mul_slow(f, a, a)
@@ -363,10 +364,50 @@ def test_tables_equal_the_direct_construction(p, h, modulus):
     f = Field(p, h, modulus)
     assert f.primitive_element() == primitive_element_oracle(f)
     got, want = f.tables, field_tables_oracle(f)
-    for name in (*(fld.name for fld in dataclasses.fields(want)), "mul"):
-        a, b = getattr(got, name), getattr(want, name)
+    for fld in dataclasses.fields(want):
+        a, b = getattr(got, fld.name), getattr(want, fld.name)
         assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, False)
-        assert np.array_equal(a, b), name
+        assert np.array_equal(a, b), fld.name
+
+
+@pytest.mark.parametrize("p,h,modulus", TABLE_ORACLE_FIELDS)
+def test_mul_equals_the_oracle_table(p, h, modulus):
+    """tables.mul on every pair, zero row and column included, in blocks of
+    rows, against the q x q table of the direct construction."""
+    f = Field(p, h, modulus)
+    want = mul_table_oracle(field_tables_oracle(f))
+    index = np.arange(f.q)
+    for r in range(0, f.q, 256):
+        got = f.tables.mul(index[r:r + 256, None], index)
+        assert got.dtype == np.int32 and np.array_equal(got, want[r:r + 256])
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_mul_broadcasts_index_arrays(dtype):
+    f = Field(3, 3, (2, 2, 0, 1))
+    t, want = f.tables, mul_table_oracle(field_tables_oracle(f))
+    a = np.array([0, 1, 5, 26], dtype=dtype)
+    b = np.array([7, 0, 13], dtype=dtype)
+    cases = [(dtype(5), a, want[5, a]),                      # scalar x array
+             (a, dtype(5), want[a, 5]),
+             (a[:, None], b[None, :], want[a[:, None], b]),  # (k, 1) x (1, m)
+             (np.array(5, dtype=dtype), np.array(7, dtype=dtype), want[5, 7]),  # 0-d
+             (np.array(0, dtype=dtype), np.array(7, dtype=dtype), 0)]
+    for x, y, expected in cases:
+        got = t.mul(x, y)
+        assert got.dtype == np.int32 and got.shape == np.shape(expected)
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("p,h,modulus", [(3, 2, (2, 2, 1)), (5, 2, (2, 1, 1)),
+                                         (3, 3, (2, 2, 0, 1))])
+def test_scalar_mul_matches_the_polynomial_product(p, h, modulus):
+    f = Field(p, h, modulus)
+    assert f.modulus != least_irreducible(p, h)
+    want = mul_table_oracle(field_tables_oracle(f))
+    for a, b in itertools.product(range(f.q), repeat=2):
+        got = f.mul(a, b)
+        assert type(got) is int and got == mul_slow(f, a, b) == want[a, b]
 
 
 @pytest.mark.parametrize("p,h", [(3, 6), (31, 2)])
@@ -381,8 +422,8 @@ def test_tables_match_polynomial_arithmetic_sampled(p, h):
 @pytest.mark.parametrize("p,h", [(5, 1), (3, 6)])
 def test_tables_are_read_only(p, h):
     t = Field(p, h).tables
-    for name in (*(fld.name for fld in dataclasses.fields(t)), "mul"):
-        arr = getattr(t, name)
+    for fld in dataclasses.fields(t):
+        arr = getattr(t, fld.name)
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
@@ -411,17 +452,6 @@ def test_tables_built_on_first_scalar_use():
         a = f.q - 2                  # outside the prime field when h > 1
         assert f.frobenius(a, f.h - 1) == pow_slow(f, a, f.q // p)
         assert f.is_square(a) == (pow_slow(f, a, (f.q - 1) // 2) == 1)
-
-
-def test_mul_built_on_its_first_read_then_kept():
-    """tables builds every table but mul; the first read of mul builds it and
-    stores it on the tables, so every later read is a plain attribute read."""
-    f = Field(3, 6)
-    t = f.tables
-    assert "mul" not in vars(t)
-    assert f.mul(2, f.q - 2) == mul_slow(f, 2, f.q - 2)
-    m = vars(t)["mul"]
-    assert t.mul is m and f.tables.mul is m
 
 
 def test_poly_str():

@@ -39,7 +39,7 @@ from intaut import Field, InternalInconsistencyError, graph, orbits, space, tran
 from intaut.field import is_irreducible
 from intaut.orbits import OrbitalStatus
 from intaut.space import SphereClass
-from oracles import encode_points
+from oracles import encode_points, field_tables_oracle, mul_table_oracle
 from test_graph import DIMACS_LIKE, GRAPH6_LIKE, small_graphs
 
 # (p, h, n) of the integral graphs the refinement is compared on
@@ -667,7 +667,6 @@ def test_cones_preserved_matches_set_oracle_on_a_stack(monkeypatch, p, h, n, blo
     every row the set oracle's answer, also when the cones are built and
     mapped one row per block."""
     monkeypatch.setattr(transform, "CONE_BLOCK", block)
-    transform._cones.cache_clear()
     field = Field(p, h)
     total = space.num_points(field, n)
     rng = np.random.default_rng(block + p)
@@ -678,10 +677,7 @@ def test_cones_preserved_matches_set_oracle_on_a_stack(monkeypatch, p, h, n, blo
     perms = np.concatenate([gens, swapped, [rng.permutation(total) for _ in range(5)]])
     perms = perms[rng.permutation(len(perms))]
     want = [preserves_cones_oracle(field, n, tuple(row)) for row in perms.tolist()]
-    try:
-        assert transform.cones_preserved(field, n, perms).tolist() == want
-    finally:
-        transform._cones.cache_clear()
+    assert transform.cones_preserved(field, n, perms).tolist() == want
     assert transform.zero_iff_preserved(field, n, perms).tolist() == want
     assert any(want) and not all(want)
 
@@ -698,7 +694,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "--p", "5", "--n", "2"]) == 0
     assert cli.main(["spheres", "--p", "31", "--h", "2", "--n", "2",
                      "--max-points", "923521"]) == 0
-assert Field(3, 6).tables.mul.shape == (729, 729)
+assert Field(3, 6).tables.mul(2, range(729)).shape == (729,)
 f7 = Field(7)
 for cls in (SphereClass.ISOTROPIC, SphereClass.SQUARE, SphereClass.NONSQUARE):
     orbits.orbital_connected(f7, 3, cls)
@@ -1192,17 +1188,19 @@ def test_class_of_pair_peak_memory(p, n):
 # -- point permutations of maps -------------------------------------------------------
 
 def map_permutation_array_oracle(field, n, scale, frob, matrix, shift):
-    """One gather per matrix entry and point, coordinate by coordinate."""
+    """One gather per matrix entry and point, coordinate by coordinate; the
+    products come from the oracle's own table."""
     tb = field.tables
+    mul = mul_table_oracle(field_tables_oracle(field))
     pts = space.point_matrix(field, n)
     X = tb.frob[frob][pts]
     cols = []
     for j in range(n):
-        acc = tb.mul[X[:, 0], matrix[0][j]]
+        acc = mul[X[:, 0], matrix[0][j]]
         for i in range(1, n):
-            acc = tb.add[acc, tb.mul[X[:, i], matrix[i][j]]]
+            acc = tb.add[acc, mul[X[:, i], matrix[i][j]]]
         if scale != 1:
-            acc = tb.mul[acc, scale]
+            acc = mul[acc, scale]
         if shift[j] != 0:
             acc = tb.add[acc, shift[j]]
         cols.append(acc)

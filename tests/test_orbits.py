@@ -18,7 +18,7 @@ from test_oracles import orbital_neighbors, reflection_matrix
 def mat_mul(field, A, B) -> tuple:
     """The product of two tuple matrices, by gathers over the field tables."""
     tb = field.tables
-    terms = tb.mul[np.asarray(A)[:, :, None], np.asarray(B)[None, :, :]]
+    terms = tb.mul(np.asarray(A)[:, :, None], np.asarray(B)[None, :, :])
     acc = terms[:, 0]
     for k in range(1, terms.shape[1]):
         acc = tb.add[acc, terms[:, k]]

@@ -1,12 +1,12 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from intaut import Field, build_integral_graph, space, transform
+from intaut import Field, build_integral_graph, orbits, space
 from intaut.field import least_irreducible
-from intaut.space import (CACHE_SIZE, SphereClass,
-                          canonical_index, class_of_pair, class_of_point, classify,
+from intaut.space import (SphereClass, canonical_index, class_of_pair, class_of_point, classify,
                           distance, enumerate_points, is_integral, norm,
                           point_matrix, point_of_index, sphere_counts_enumerated,
                           sphere_counts_formula, vec_add)
@@ -212,7 +212,7 @@ def test_scalar_norms_never_build_mul():
     f = Field(3, 8)
     assert classify(f, (1, 2)) is SphereClass.SQUARE
     assert is_integral(f, (1, 2), (5, 7))
-    assert "mul" not in vars(f.tables)
+    assert vars(f.tables).keys() == {fld.name for fld in dataclasses.fields(f.tables)}
 
 
 # default moduli and, for h > 1, one that is not the default
@@ -262,18 +262,17 @@ def test_cached_arrays_are_read_only_with_one_entry():
 
 
 def test_caches_keep_at_most_cache_size_entries():
-    """Cycling through more (field, n) pairs than CACHE_SIZE leaves every
-    bulk cache at CACHE_SIZE entries; an evicted entry is rebuilt equal."""
+    """Every bulk cache keeps the last (field, n) pair's table alone; an
+    evicted entry is rebuilt equal and read-only."""
     keys = [(Field(p), n) for p in (3, 5, 7, 11) for n in (1, 2, 3) if p ** n <= 400]
-    assert len(keys) > CACHE_SIZE
     cached = (space.point_matrix, space.class_of_pair, space.class_of_point,
-              transform._cones)
+              orbits._m_images)
     first = [f(*keys[0]) for f in cached]
     for key in keys:
         for f in cached:
             f(*key)
     for f, old in zip(cached, first):
-        assert f.cache_info().currsize == CACHE_SIZE
+        assert f.cache_info().currsize == 1
         new = f(*keys[0])
         assert new is not old
         assert np.array_equal(new, old) and not new.flags.writeable

@@ -143,7 +143,7 @@ class FieldTables:
         """The int32 products of two broadcastable arrays of element indices:
         g^(log a + log b), and 0 where either factor is 0."""
         a, b = np.asarray(a), np.asarray(b)
-        prod = self.power[(self.log[a] + self.log[b]) % len(self.power)]
+        prod = np.take(self.power, self.log[a] + self.log[b], mode="wrap")  # mod q - 1
         return np.where((a != 0) & (b != 0), prod, 0)
 
 

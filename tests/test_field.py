@@ -342,13 +342,12 @@ def _check_tables(f, pairs, singles):
             assert t.inv[a] == pow_slow(f, a, f.q - 2)
 
 
-# every small field, plus a non-default modulus for GF(9), GF(25) and GF(27)
+# every small field, plus a non-default modulus for GF(9) and GF(25)
 ORACLE_FIELDS = [(p, h, None) for p, h in SMALL_FIELDS] + [(3, 2, (2, 2, 1)),
-                                                          (5, 2, (2, 1, 1)),
-                                                          (3, 3, (2, 2, 0, 1))]
+                                                          (5, 2, (2, 1, 1))]
 
 
-@pytest.mark.parametrize("p,h,modulus", ORACLE_FIELDS)
+@pytest.mark.parametrize("p,h,modulus", ORACLE_FIELDS + [(3, 3, (2, 2, 0, 1))])
 def test_tables_match_polynomial_arithmetic_exhaustively(p, h, modulus):
     f = Field(p, h, modulus)
     if modulus is not None:

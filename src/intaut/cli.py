@@ -238,14 +238,13 @@ def cmd_recognize(args) -> int:
     _validate_common(args, min_n=1)
     field = _build_field(args)
     n = args.n
-    total = field.q ** n
+    space.check_size(field, n, args.max_points)
     try:
-        perm = transform.read_permutation_file(args.perm_file, total)
+        perm = transform.read_permutation_file(args.perm_file, field.q ** n)
     except (OSError, ValueError) as exc:
         # NotABijectionError is a ValueError: malformed input, not a math failure
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    space.check_size(field, n, args.max_points)
     result = transform.recognize_semiaffine(field, n, perm)
     rep = Reporter(args.output)
     if result is None:
@@ -265,15 +264,11 @@ def cmd_export(args) -> int:
     _validate_common(args, min_n=1)
     field = _build_field(args)
     space.check_size(field, args.n, args.max_points)
-    try:
-        g = graphmod.build_integral_graph(field, args.n)
-        if args.format == "graph6":
-            payload = graphmod.graph6_bytes(g)
-        else:
-            payload = graphmod.dimacs_text(g).encode("ascii")
-    except (TooLargeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    g = graphmod.build_integral_graph(field, args.n)   # or TooLargeError, exit 2
+    if args.format == "graph6":
+        payload = graphmod.graph6_bytes(g)
+    else:
+        payload = graphmod.dimacs_text(g).encode("ascii")
     try:
         with open(args.out, "wb") as fh:
             fh.write(payload)

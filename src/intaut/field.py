@@ -6,10 +6,11 @@ first, read as a base-p integer.  Index 0 is zero and index 1 is one, so
 tuples of indices can be compared, hashed and packed without further
 bookkeeping.  Every arithmetic operation, scalar or bulk, reads the
 read-only tables of `Field.tables`, all built at once on first use; the
-addition table is the only q x q one.  A product is g^(log a + log b) for
-the primitive element g, read from the powers and discrete logs, so no
-multiplication table is kept.  All operations are pure; a Field is
-immutable once built.
+addition table is the only q x q one: int16, 2 q^2 bytes, so the tables
+of a field with q > 32,767, whose indices int16 cannot hold, are refused.
+A product is g^(log a + log b) for the primitive element g, read from the
+powers and discrete logs, so no multiplication table is kept.  All
+operations are pure; a Field is immutable once built.
 
 GF(p)[x]/(f) has one model: the matrices over GF(p) of a -> a b.  Rabin's
 test on the matrix of x vets the modulus, the matrices of the elements give
@@ -130,7 +131,7 @@ def least_irreducible(p: int, h: int) -> tuple:
 class FieldTables:
     """Read-only arithmetic tables of a field, for vectorised gathers."""
 
-    add: np.ndarray        # q x q
+    add: np.ndarray        # q x q, int16
     neg: np.ndarray        # q
     inv: np.ndarray        # q, inv[0] = 0 as a placeholder
     is_square: np.ndarray  # q, bool, zero counted as a square
@@ -304,17 +305,21 @@ class Field:
     @property
     def tables(self) -> FieldTables:
         """The arithmetic tables as read-only numpy arrays, all built on
-        first use.  Raises TooLargeError when the q x q add table cannot be
-        allocated."""
+        first use.  Raises TooLargeError, before allocating anything, for
+        q > 32,767, whose indices int16 cannot hold, and when the q x q add
+        table of 2 q^2 bytes cannot be allocated."""
         # not a functools.cached_property: its write into the instance dict
         # slows every later attribute read, from about 10 to 29 ns, and a
         # scalar operation reads several of a Field's.
         if self._tables is None:
+            refusal = TooLargeError(f"the arithmetic tables of GF({self.q}) "
+                                    "do not fit in memory")
+            if self.q > np.iinfo(np.int16).max:
+                raise refusal
             try:
                 self._tables = self._build_tables()
             except MemoryError:
-                raise TooLargeError(f"the arithmetic tables of GF({self.q}) "
-                                    "do not fit in memory") from None
+                raise refusal from None
         return self._tables
 
     def _build_tables(self) -> FieldTables:
@@ -323,26 +328,24 @@ class Field:
         add is built digit by digit, top digit most significant: with s = p^k,
         the table of k + 1 digits, reshaped to (p, s, p, s), is the top
         digits' sum mod p times s plus the table of the lower k digits.  Its
-        q x q array comes from np.zeros and is filled in place, so a field
-        too large for memory fails on that first allocation.  The powers of
-        a primitive element g are doubled with the matrix of x -> g x: the
-        rows g^0 .. g^(k-1), times that matrix to the k, are g^k .. g^(2k-1).
+        q x q int16 array comes from np.zeros and is filled in place, so a
+        field too large for memory fails on that first allocation.  The
+        powers of a primitive element g are doubled with the matrix of
+        x -> g x: the rows g^0 .. g^(k-1), times that matrix to the k, are
+        g^k .. g^(2k-1).
         neg, inv, frob and square_of then gather from the powers by logs;
         -1 is g^((q-1)/2), so neg adds (q-1)/2 to each log.  The powers and
         logs are kept as tables too, for pow and mul."""
         q, p, h = self.q, self.p, self.h
-        try:
-            add = np.zeros((q, q), dtype=np.int32)
-        except ValueError:   # numpy's "array is too big": beyond the address space
-            raise MemoryError from None
-        digits = np.arange(p, dtype=np.int32)
+        add = np.zeros((q, q), dtype=np.int16)
+        digits = np.arange(p, dtype=np.int16)
         twice = np.concatenate((digits, digits))         # twice[a + b] = (a + b) % p
-        low = np.zeros((1, 1), dtype=np.int32)           # the table of no digits
+        low = np.zeros((1, 1), dtype=np.int16)           # the table of no digits
         for k in range(h):
             s = p ** k
             # top[a, b] = twice[a + b] * s, as a view of p x p strided entries
             top = as_strided(twice * s, (p, p), twice.strides * 2)
-            high = add if k == h - 1 else np.empty((p * s, p * s), dtype=np.int32)
+            high = add if k == h - 1 else np.empty((p * s, p * s), dtype=np.int16)
             np.add(top[:, None, :, None], low[None, :, None, :],
                    out=high.reshape(p, s, p, s))
             low = high

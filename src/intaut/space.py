@@ -22,6 +22,9 @@ from .field import Field
 DEFAULT_MAX_POINTS = 100_000
 # entries a bulk table may hold: the pair class codes, the reflection images
 MAX_BULK_ENTRIES = 4_000_000
+# entries of one row block of a _norm_census gather: small enough that the
+# heap reuses its temporaries instead of mapping fresh pages for each step
+CENSUS_BLOCK = 2 ** 14
 
 
 class SphereClass(enum.Enum):
@@ -147,8 +150,9 @@ def _norm_census(field: Field, n: int) -> tuple:
     so the next histogram is hist[w - s] summed over the squares s weighted
     by mult[s]: q (q + 1) / 2 gathers a coordinate instead of one norm per
     point.  The last coordinate only totals the norm 0 and the square norms,
-    over the support of the histogram before it.  Counts reach q^n, so from
-    2^63 on the arrays hold Python ints.
+    over the support of the histogram before it.  Each step gathers rows
+    of add in blocks of about CENSUS_BLOCK entries.  Counts reach q^n, so
+    from 2^63 on the arrays hold Python ints.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -157,15 +161,18 @@ def _norm_census(field: Field, n: int) -> tuple:
     dtype = np.int64 if q ** n < 2 ** 63 else object
     mult = np.bincount(tb.square_of, minlength=q).astype(dtype)
     sq = np.flatnonzero(mult)                           # the squares, 0 included
-    weights = mult[sq]
+    neg_sq, weights = tb.neg[sq], mult[sq]
+    rows = max(1, CENSUS_BLOCK // sq.size)
     # the histogram of GF(q)^1, or for n = 1, where the first coordinate is
     # the last, of GF(q)^0: the origin alone
     hist = mult if n > 1 else (np.arange(q) == 0).astype(dtype)
     for _ in range(n - 2):
-        hist = hist[tb.add[:, tb.neg[sq]]] @ weights
+        hist = np.concatenate([hist[tb.add[r:r + rows, neg_sq]] @ weights
+                               for r in range(0, q, rows)])
     supp = np.flatnonzero(hist)
-    zero = hist[tb.neg[sq]] @ weights
-    square = hist[supp] @ (tb.is_square[tb.add[supp[:, None], sq]] @ weights)
+    zero = hist[neg_sq] @ weights
+    square = sum(hist[block] @ (tb.is_square[tb.add[block[:, None], sq]] @ weights)
+                 for block in np.split(supp, range(rows, supp.size, rows)))
     return int(zero), int(square)
 
 

@@ -102,7 +102,7 @@ def field_tables_oracle(field) -> FieldTables:
     primitive element, multiplied out by polynomial arithmetic."""
     q, p = field.q, field.p
     index = np.arange(q, dtype=np.int32)
-    add = np.zeros((q, q), dtype=np.int32)
+    add = np.zeros((q, q), dtype=np.int16)
     for k in range(field.h):
         d = index // p ** k % p
         add += (d[:, None] + d[None, :]) % p * p ** k

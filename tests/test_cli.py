@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import intaut
-from intaut import (Field, InternalInconsistencyError, cli, graph, orbits, space,
-                    to_permutation, transform, write_permutation_file)
+from intaut import (Field, InternalInconsistencyError, TooLargeError, cli, graph,
+                    orbits, space, to_permutation, transform, write_permutation_file)
 from intaut import field as fieldmod
 from intaut.transform import SemiaffineMap
 from oracles import enumerate_orthogonal
@@ -51,31 +51,48 @@ class NoLargeArrays:
 
 
 def test_field_tables_beyond_memory_exit_2(monkeypatch, capsys):
-    """Spheres over GF(99991) need 99991 x 99991 tables, about 37 GiB each;
-    a failed allocation is a refusal with one error line, not a crash."""
+    """GF(99991) lies beyond the q bound, so its tables are refused before
+    any allocation; GF(10007) lies under it, and its failed allocation of
+    10007 x 10007 entries is the same refusal.  Either is one error line,
+    not a crash."""
     fake = NoLargeArrays()
     monkeypatch.setattr(fieldmod, "np", fake)
-    assert cli.main(["spheres", "--p", "99991", "--n", "1"]) == cli.USAGE_ERROR
-    assert capsys.readouterr() == (
-        "", "error: the arithmetic tables of GF(99991) do not fit in memory\n")
-    assert fake.refused == 1
+    for p, refused in ((99991, 0), (10007, 1)):
+        assert cli.main(["spheres", "--p", str(p), "--n", "1"]) == cli.USAGE_ERROR
+        assert capsys.readouterr() == (
+            "", f"error: the arithmetic tables of GF({p}) do not fit in memory\n")
+        assert fake.refused == refused
     f = Field(3, 7)                        # q = 2187: tables of 4.8 M entries
     assert f.tables.add.shape == (2187, 2187) and fake.refused == 1
 
 
+def test_tables_beyond_the_q_bound_allocate_nothing(monkeypatch):
+    """q = 3^10 = 59,049 exceeds 32,767, the largest index int16 holds: the
+    refusal comes before any np.zeros call."""
+    fake = SquareTables()
+    monkeypatch.setattr(fieldmod, "np", fake)
+    f = Field(3, 10)
+    with pytest.raises(TooLargeError, match=r"^the arithmetic tables of GF\(59049\) "
+                                            "do not fit in memory$"):
+        f.tables
+    assert fake.zeros_calls == 0 and f._tables is None
+
+
 class SquareTables:
-    """numpy, recording the shape of every square np.zeros of more than one
-    entry, the q x q tables."""
+    """numpy, counting the np.zeros calls and recording the shape and dtype
+    of every square one of more than one entry, the q x q tables."""
 
     def __init__(self):
         self.square = []
+        self.zeros_calls = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def zeros(self, shape, dtype=float):
+        self.zeros_calls += 1
         if isinstance(shape, tuple) and len(shape) == 2 and shape[0] == shape[1] > 1:
-            self.square.append(shape)
+            self.square.append((shape, np.dtype(dtype)))
         return np.zeros(shape, dtype=dtype)
 
 
@@ -88,15 +105,15 @@ def _clear_bulk_caches():
 
 @pytest.mark.parametrize("argv, tables", [
     (["spheres", "--p", "31", "--h", "2", "--n", "2", "--max-points", "923521"],
-     [(961, 961)]),
-    (["field-info", "--p", "31", "--h", "2"], [(961, 961)]),
-    (["export", "--p", "3", "--n", "3", "--format", "graph6"], [(3, 3)]),
-    (["verify", "--p", "3", "--n", "3"], [(3, 3)]),
-    (["recognize", "--p", "3", "--n", "3"], [(3, 3)])])
+     [((961, 961), np.int16)]),
+    (["field-info", "--p", "31", "--h", "2"], [((961, 961), np.int16)]),
+    (["export", "--p", "3", "--n", "3", "--format", "graph6"], [((3, 3), np.int16)]),
+    (["verify", "--p", "3", "--n", "3"], [((3, 3), np.int16)]),
+    (["recognize", "--p", "3", "--n", "3"], [((3, 3), np.int16)])])
 def test_only_commands_that_multiply_build_mul(monkeypatch, tmp_path, argv, tables):
     """No command builds a product table: every command, verify and
     recognize that multiply included, allocates exactly one (q, q) array,
-    add."""
+    the int16 add."""
     _clear_bulk_caches()
     fake = SquareTables()
     monkeypatch.setattr(fieldmod, "np", fake)
@@ -113,9 +130,9 @@ def test_only_commands_that_multiply_build_mul(monkeypatch, tmp_path, argv, tabl
     ["spheres", "--p", "3", "--h", "25", "--n", "1", "--max-points", str(10 ** 15)],
     ["field-info", "--p", "3", "--h", "25"]])
 def test_field_tables_beyond_the_address_space_exit_2(argv):
-    """The q x q tables of GF(3^25) exceed numpy's largest array size, which
-    np.zeros reports as ValueError("array is too big") before allocating;
-    that too is a refusal with one error line, not a crash."""
+    """GF(3^25) lies far beyond the q bound, and its q x q tables beyond
+    numpy's largest array size; that too is a refusal with one error line,
+    not a crash."""
     res = run_cli(*argv)
     assert (res.returncode, res.stdout, res.stderr) == (
         2, "", "error: the arithmetic tables of GF(847288609443) do not fit in memory\n")
@@ -430,6 +447,17 @@ def test_recognize_missing_file_exits_2():
     assert res.returncode == 2
 
 
+def test_recognize_checks_the_size_before_the_file(tmp_path, capsys):
+    """Over --max-points the size refuses the instance before the q^n
+    entries of the permutation file are read, so a missing file is not
+    reported."""
+    missing = tmp_path / "missing.perm"
+    code = cli.main(["recognize", "--p", "3", "--n", "3", "--perm-file", str(missing),
+                     "--max-points", "10"])
+    assert (code, *capsys.readouterr()) == (
+        cli.USAGE_ERROR, "", "error: q^n = 27 exceeds the enumeration bound 10\n")
+
+
 # -- export ----------------------------------------------------------------------
 
 def test_export_dimacs_header(tmp_path):
@@ -467,6 +495,18 @@ def test_export_too_large_exits_2(tmp_path):
     res = run_cli("export", "--p", "3", "--h", "1", "--n", "3",
                   "--format", "graph6", "--out", str(out), "--max-points", "5")
     assert res.returncode == 2
+
+
+def test_export_over_the_bulk_bound_exits_2(tmp_path, capsys):
+    """2,187 points lie under --max-points but their pair table over the
+    bulk bound: main reports the refusal and writes no file."""
+    out = tmp_path / "g.g6"
+    code = cli.main(["export", "--p", "3", "--n", "7", "--format", "graph6",
+                     "--out", str(out)])
+    assert (code, *capsys.readouterr()) == (
+        cli.USAGE_ERROR, "",
+        "error: pairwise table with 2187^2 entries exceeds the bulk bound\n")
+    assert not out.exists()
 
 
 # -- argument parsing --------------------------------------------------------------

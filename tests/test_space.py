@@ -239,6 +239,24 @@ def test_histogram_counts_equal_the_per_point_scan(p, h, modulus, n):
     assert sphere_counts_enumerated(f, n) == sphere_counts_oracle(f, n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p,h,modulus", NORM_MODULI)
+def test_census_in_blocks_of_a_few_entries(monkeypatch, p, h, modulus, n):
+    """Blocks of 3 entries hold one row of add each, so each step of the
+    census runs one block per row of its support."""
+    monkeypatch.setattr(space, "CENSUS_BLOCK", 3)
+    f = Field(p, h, modulus)
+    assert sphere_counts_enumerated(f, n) == sphere_counts_oracle(f, n)
+
+
+@pytest.mark.parametrize("p,n", [(3, 41), (5, 28)])
+def test_census_in_blocks_stays_exact_beyond_int64(monkeypatch, p, n):
+    """The blocks' partial counts of Python ints add up exactly."""
+    monkeypatch.setattr(space, "CENSUS_BLOCK", 3)
+    f = Field(p)
+    assert sphere_counts_enumerated(f, n) == sphere_counts_formula(f, n)
+
+
 @pytest.mark.parametrize("p,h,n", [(3, 1, 3), (5, 1, 2), (3, 2, 2), (7, 1, 3)])
 def test_class_of_point_matches_classify(p, h, n):
     f = Field(p, h)

@@ -171,8 +171,8 @@ def _norm_census(field: Field, n: int) -> tuple:
                                for r in range(0, q, rows)])
     supp = np.flatnonzero(hist)
     zero = hist[neg_sq] @ weights
-    square = sum(hist[block] @ (tb.is_square[tb.add[block[:, None], sq]] @ weights)
-                 for block in np.split(supp, range(rows, supp.size, rows)))
+    blocks = (supp[r:r + rows] for r in range(0, supp.size, rows))
+    square = sum(hist[b] @ (tb.is_square[tb.add[b[:, None], sq]] @ weights) for b in blocks)
     return int(zero), int(square)
 
 

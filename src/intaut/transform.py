@@ -133,12 +133,12 @@ def check_bijection(perm, size: int):
 
 def _permutation_rows(perms, num: int) -> np.ndarray:
     """perms as a (k, num) integer array whose rows are permutations of
-    range(num); the library's one check that rows are permutations.  A
-    wrong shape raises ValueError, a row that is not a permutation
-    NotABijectionError."""
+    range(num); the library's one check that rows are permutations.  An
+    empty 1-D input is zero rows.  A wrong shape raises ValueError, a row
+    that is not a permutation NotABijectionError."""
     perms = np.asarray(perms)
-    if not perms.size:              # [()] reads as float: no entry to check
-        perms = perms.astype(np.intp)
+    if not perms.size:              # [] and [()] read as float: no entry to check
+        perms = perms.astype(np.intp).reshape(perms.shape if perms.ndim > 1 else (0, num))
     if perms.ndim != 2 or perms.shape[1] != num:
         raise ValueError(f"permutations must be rows of length {num}")
     if perms.dtype.kind not in "iu" or perms.size and (

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,39 @@ def test_m_orbits_match_union_find(p, h, n):
     f = Field(p, h)
     gens = m_generators(f, n)
     assert m_orbits(f, n).orbits == orbits_oracle(gens, f.q ** n)
+
+
+def cycle(order):
+    """The permutation sending order[i] to order[i + 1], cyclically."""
+    perm = np.empty(len(order), dtype=np.intp)
+    perm[order] = np.roll(order, -1)
+    return perm
+
+
+# one generator each, with a cycle far longer than the hypothesis draws
+LONG_CYCLES = {
+    "ascending-729": lambda: cycle(np.arange(729)),
+    "descending-729": lambda: cycle(np.arange(729)[::-1]),
+    "random-4096": lambda: cycle(np.random.default_rng(29).permutation(4096)),
+    "scalar-GF(961)": lambda: m_generators(Field(31, 2), 1)[0],
+}
+
+
+@pytest.mark.parametrize("name", LONG_CYCLES)
+def test_long_cycles_match_union_find(name):
+    perm = LONG_CYCLES[name]()
+    assert orbits_under([perm], perm.size).orbits == orbits_oracle([perm], perm.size)
+
+
+def test_orbits_copy_no_generator_stack():
+    gens = m_generators(Field(3), 6)
+    tracemalloc.start()
+    try:
+        orbits_under(gens, 729)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * gens.size * np.dtype(np.int32).itemsize
 
 
 def test_empty_generators_give_singletons():

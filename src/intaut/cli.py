@@ -94,11 +94,15 @@ def _common_flags(sub, with_n=True):
     sub.add_argument("--output", choices=("text", "tsv"), default="text")
 
 
-def _validate_common(args, min_n):
+def _instance(args, min_n) -> Field:
+    """The field of a command that takes --n, q^n checked against --max-points."""
     if args.max_points < 1:
         raise ConfigError("--max-points must be >= 1")
     if args.n < min_n:
         raise ConfigError(f"--n must be >= {min_n} for this subcommand")
+    field = _build_field(args)
+    space.check_size(field, args.n, args.max_points)
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +126,8 @@ def cmd_field_info(args) -> int:
 
 
 def cmd_spheres(args) -> int:
-    _validate_common(args, min_n=1)
-    field = _build_field(args)
+    field = _instance(args, min_n=1)
     formula = space.sphere_counts_formula(field, args.n)
-    space.check_size(field, args.n, args.max_points)
     enumerated = space.sphere_counts_enumerated(field, args.n)
     rep = Reporter(args.output)
     rep.emit("q", field.q)
@@ -153,8 +155,7 @@ def _orbital_report(rep, field, n):
 
 
 def cmd_verify(args) -> int:
-    _validate_common(args, min_n=2)
-    field = _build_field(args)
+    field = _instance(args, min_n=2)
     n = args.n
     rep = Reporter(args.output)
     rep.emit("q", field.q)
@@ -162,7 +163,6 @@ def cmd_verify(args) -> int:
     gates = []
 
     formula = space.sphere_counts_formula(field, n)
-    space.check_size(field, n, args.max_points)
     enumerated = space.sphere_counts_enumerated(field, n)
     sphere_ok = formula == enumerated
     rep.emit("sphere_match", sphere_ok)
@@ -177,7 +177,7 @@ def cmd_verify(args) -> int:
 
     morb = orbitsmod.m_orbits(field, n)
     part = orbitsmod.classify_partition(field, n)
-    morb_ok = morb.as_sets() == part.as_sets()
+    morb_ok = morb == part
     rep.emit("m_orbits_match", morb_ok)
     gates.append(morb_ok)
 
@@ -235,10 +235,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    _validate_common(args, min_n=1)
-    field = _build_field(args)
+    field = _instance(args, min_n=1)
     n = args.n
-    space.check_size(field, n, args.max_points)
     try:
         perm = transform.read_permutation_file(args.perm_file, field.q ** n)
     except (OSError, ValueError) as exc:
@@ -261,9 +259,7 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_export(args) -> int:
-    _validate_common(args, min_n=1)
-    field = _build_field(args)
-    space.check_size(field, args.n, args.max_points)
+    field = _instance(args, min_n=1)
     g = graphmod.build_integral_graph(field, args.n)   # or TooLargeError, exit 2
     if args.format == "graph6":
         payload = graphmod.graph6_bytes(g)

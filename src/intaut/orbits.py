@@ -14,9 +14,6 @@ from .field import Field, rank_mod_p
 from . import space, transform
 from .space import SphereClass
 
-# generator entries gathered at once by orbits_under
-ORBIT_BLOCK = 1 << 16
-
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
@@ -41,9 +38,9 @@ def orbits_under(perms, size: int) -> OrbitDecomposition:
 
     Every point carries a label, at first itself.  Each sweep lowers the
     label of every x to the least label of x and of g[x] over all
-    generators g, by gathers over blocks of ORBIT_BLOCK generator entries,
-    then shortcuts every label to the label of its label, until a sweep
-    changes nothing.  Then label[x] <= label[g[x]] for every g and x, so
+    generators g, by gathers over blocks of about space.BLOCK generator
+    entries, then shortcuts every label to the label of its label, until a
+    sweep changes nothing.  Then label[x] <= label[g[x]] for every g and x, so
     labels are constant along each cycle of each generator, hence on
     orbits, and an orbit's least point keeps its own label: no inverse is
     needed.  A label moves only from g[x] to x, so the ascending N-cycle
@@ -52,7 +49,7 @@ def orbits_under(perms, size: int) -> OrbitDecomposition:
     ValueError, a row that is not a permutation NotABijectionError.
     """
     gens = transform._permutation_rows(perms, size)
-    rows = max(1, ORBIT_BLOCK // max(size, 1))
+    rows = space.block_rows(size)
     label = np.arange(size)
     images = np.empty((min(rows, len(gens)), size), dtype=np.intp)
     while True:
@@ -110,24 +107,17 @@ def m_generators(field: Field, n: int) -> np.ndarray:
 def _m_images(field: Field, n: int) -> np.ndarray:
     """Read-only array of the m_generators images, the scalar map first.
 
-    A class is represented by its point with leading coordinate 1, and the
-    classes come in the order of their least point index.  All reflection
-    matrices I - (2 / <v,v>) v v^T are formed at once and mapped to
-    permutations in one batch.
+    A class is represented by its least point, the multiple whose highest
+    nonzero coordinate is 1 (a point's index is sum x_i q^i): the points of
+    index in [q^j, 2 q^j), which come in index order.  All reflection
+    matrices I - (2 / <v,v>) v v^T are formed at once and mapped in one batch.
     """
-    total = space.num_points(field, n)
+    q = field.q
     tb = field.tables
-    points = space.point_matrix(field, n)
     norms = space._norm_array(field, n)
-    ks = np.flatnonzero(norms)                       # the anisotropic points
-    pts = points[ks]
-    lead = pts[np.arange(ks.size), (pts != 0).argmax(axis=1)]
-    unit = tb.mul(tb.inv[lead][:, None], pts) @ field.q ** np.arange(n)
-    first = np.full(total, total)
-    np.minimum.at(first, unit, ks)                   # least point of each class
-    reps = np.flatnonzero(first < total)
-    reps = reps[np.argsort(first[reps])]
-    v = points[reps]
+    reps = np.concatenate([np.arange(q ** j, 2 * q ** j) for j in range(n)])
+    reps = reps[norms[reps] != 0]                    # the anisotropic classes
+    v = space.point_matrix(field, n)[reps]
     coef = tb.mul(tb.mul(tb.add[1, 1], tb.inv[norms[reps]])[:, None], v)
     eye = np.eye(n, dtype=np.intp)
     reflections = tb.add[tb.neg[tb.mul(coef[:, :, None], v[:, None, :])], eye]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +24,14 @@ from .field import Field
 DEFAULT_MAX_POINTS = 100_000
 # entries a bulk table may hold: the pair class codes, the reflection images
 MAX_BULK_ENTRIES = 4_000_000
-# entries of one row block of a _norm_census gather: small enough that the
-# heap reuses its temporaries instead of mapping fresh pages for each step
-CENSUS_BLOCK = 2 ** 14
+# entries of one block of the blocked gathers (census, orbit sweep, cones):
+# small enough that the heap reuses their temporaries, mapping no fresh pages
+BLOCK = 2 ** 14
+
+
+def block_rows(row_entries: int) -> int:
+    """Rows of row_entries entries each that make one block, at least one."""
+    return max(1, BLOCK // max(row_entries, 1))
 
 
 class SphereClass(enum.Enum):
@@ -51,11 +58,16 @@ def num_points(field: Field, n: int) -> int:
 
 
 def check_size(field: Field, n: int, bound: int):
-    """Raise TooLargeError if q^n exceeds the enumeration bound."""
-    total = num_points(field, n)
-    if total > bound:
-        raise TooLargeError(
-            f"q^n = {total} exceeds the enumeration bound {bound}")
+    """Raise TooLargeError if q^n exceeds the enumeration bound, building q^n
+    only up to the first power past it; the message names q^n in full where
+    Python prints it (4,300 digits by default), else as the power q^n."""
+    q, total = field.q, 1
+    for _ in range(n):
+        total *= q
+        if total > bound:
+            digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+            shown = q ** n if n * math.log10(q) < digits - 1 else f"{q}^{n}"
+            raise TooLargeError(f"q^n = {shown} exceeds the enumeration bound {bound}")
 
 
 def point_of_index(field: Field, n: int, k: int) -> tuple:
@@ -151,7 +163,7 @@ def _norm_census(field: Field, n: int) -> tuple:
     by mult[s]: q (q + 1) / 2 gathers a coordinate instead of one norm per
     point.  The last coordinate only totals the norm 0 and the square norms,
     over the support of the histogram before it.  Each step gathers rows
-    of add in blocks of about CENSUS_BLOCK entries.  Counts reach q^n, so
+    of add in blocks of about BLOCK entries.  Counts reach q^n, so
     from 2^63 on the arrays hold Python ints.
     """
     if n < 1:
@@ -162,7 +174,7 @@ def _norm_census(field: Field, n: int) -> tuple:
     mult = np.bincount(tb.square_of, minlength=q).astype(dtype)
     sq = np.flatnonzero(mult)                           # the squares, 0 included
     neg_sq, weights = tb.neg[sq], mult[sq]
-    rows = max(1, CENSUS_BLOCK // sq.size)
+    rows = block_rows(sq.size)
     # the histogram of GF(q)^1, or for n = 1, where the first coordinate is
     # the last, of GF(q)^0: the origin alone
     hist = mult if n > 1 else (np.arange(q) == 0).astype(dtype)

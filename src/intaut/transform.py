@@ -276,7 +276,8 @@ def recognize_semiaffine_batch(field: Field, n: int, perms) -> list:
     exponent; if the row agrees with x -> frobenius(x, i) @ B + shift for
     some i (_semilinear_parts), then B B^T must be a scalar c times the
     identity and c must be a square a^2 with a the least such index,
-    yielding matrix = B / a.  All of it is gathers over the field tables,
+    yielding matrix = B / a; a is less than -a, so the map comes out in
+    normalize_map's form.  All of it is gathers over the field tables,
     over all rows at once.  A wrong shape raises ValueError, a row that is
     not a permutation NotABijectionError.
     """
@@ -290,8 +291,8 @@ def recognize_semiaffine_batch(field: Field, n: int, perms) -> list:
           & (gram == c[:, None, None] * np.eye(n, dtype=np.intp)).all(axis=(1, 2)))
     root = (tb.square_of == c[:, None]).argmax(axis=1)  # least root where c is a square
     matrix = tb.mul(tb.inv[root][:, None, None], B)
-    return [normalize_map(field, SemiaffineMap(
-                int(root[r]), int(frob[r]), _rows(matrix[r]), tuple(shift[r].tolist())))
+    return [SemiaffineMap(int(root[r]), int(frob[r]), _rows(matrix[r]),
+                          tuple(shift[r].tolist()))
             if ok[r] else None for r in range(len(perms))]
 
 
@@ -313,22 +314,18 @@ def zero_iff_preserved(field: Field, n: int, perms) -> np.ndarray:
     return batch_preserves(perms, space.zero_distance_matrix(field, n))
 
 
-# cone entries gathered and sorted per block of cones_preserved
-CONE_BLOCK = 1 << 16
-
-
 def _cones(field: Field, n: int) -> np.ndarray:
     """int32 matrix whose row v is the cone of vertex v, the points
     at squared distance zero from it, as ascending point indices.
 
     Distance zero is invariant under translation, so every cone has as many
     points as the cone of the origin.  The rows are read off class_of_pair
-    in blocks of about CONE_BLOCK pairs, so no N x N temporary is made.
+    in blocks of about space.BLOCK pairs, so no N x N temporary is made.
     """
     codes = space.class_of_pair(field, n)
     num = codes.shape[0]
     size = int(np.count_nonzero(codes[0] <= 1))
-    rows = max(1, CONE_BLOCK // num)
+    rows = space.block_rows(num)
     cones = np.empty((num, size), dtype=np.int32)
     for a in range(0, num, rows):
         zero = codes[a:a + rows] <= 1
@@ -354,7 +351,7 @@ def cones_preserved(field: Field, n: int, perms) -> np.ndarray:
     checked against each other.  The cones are the sorted rows of `_cones`,
     so the image of the cone of v is the cone of perm[v] iff the images of
     row v, sorted, equal row perm[v].  The cones are taken in blocks of
-    rows, each mapped by every permutation at once, of about CONE_BLOCK
+    rows, each mapped by every permutation at once, of about space.BLOCK
     entries in all.  A wrong shape raises ValueError, a row that is not a
     permutation NotABijectionError.
     """
@@ -362,7 +359,7 @@ def cones_preserved(field: Field, n: int, perms) -> np.ndarray:
     num, size = cones.shape
     perms = _permutation_rows(perms, num).astype(np.int32)
     ok = np.ones(len(perms), dtype=bool)
-    rows = max(1, CONE_BLOCK // (size * max(len(perms), 1)))
+    rows = space.block_rows(size * len(perms))
     for a in range(0, num, rows):
         images = np.sort(perms[:, cones[a:a + rows]], axis=2)
         ok &= (images == cones[perms[:, a:a + rows]]).all(axis=(1, 2))

@@ -2,6 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -507,6 +508,23 @@ def test_export_over_the_bulk_bound_exits_2(tmp_path, capsys):
         cli.USAGE_ERROR, "",
         "error: pairwise table with 2187^2 entries exceeds the bulk bound\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [9000, 10 ** 4, 10 ** 9])
+@pytest.mark.parametrize("command", ["spheres", "verify", "recognize", "export"])
+def test_a_very_large_n_is_refused_at_once(command, n, tmp_path, capsys):
+    """q^n is not built past --max-points.  The message gives it in full
+    while Python prints it (3^9000 has 4,295 digits, under the default
+    limit of 4,300) and as a power beyond."""
+    files = {"recognize": ["--perm-file", str(tmp_path / "missing.perm")],
+             "export": ["--format", "dimacs", "--out", str(tmp_path / "g.dimacs")]}
+    start = time.perf_counter()
+    code = cli.main([command, "--p", "3", "--n", str(n), *files.get(command, [])])
+    elapsed = time.perf_counter() - start
+    shown = 3 ** n if n == 9000 else f"3^{n}"
+    assert (code, *capsys.readouterr()) == (
+        cli.USAGE_ERROR, "", f"error: q^n = {shown} exceeds the enumeration bound 100000\n")
+    assert elapsed < 1
 
 
 # -- argument parsing --------------------------------------------------------------

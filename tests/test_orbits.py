@@ -96,6 +96,28 @@ def test_m_orbits_match_union_find(p, h, n):
     assert m_orbits(f, n).orbits == orbits_oracle(gens, f.q ** n)
 
 
+def sparse_permutation(rng, size, moved):
+    """A permutation of range(size) that fixes all but `moved` random points."""
+    perm = np.arange(size)
+    points = rng.choice(size, size=moved, replace=False)
+    perm[points] = rng.permutation(points)
+    return perm
+
+
+@pytest.mark.parametrize("block", [space.BLOCK, 3])
+def test_orbit_sweeps_in_blocks_match_union_find(monkeypatch, block):
+    """Blocks of 3 entries hold one generator row each, so every sweep runs
+    one block per generator."""
+    monkeypatch.setattr(space, "BLOCK", block)
+    rng = np.random.default_rng(block)
+    for size, count in [(40, 2), (100, 8), (100, 30)]:
+        perms = np.array([sparse_permutation(rng, size, 3) for _ in range(count)])
+        assert orbits_under(perms, size).orbits == orbits_oracle(perms, size)
+    for p, n in [(3, 3), (5, 2)]:
+        gens = m_generators(Field(p), n)
+        assert orbits_under(gens, p ** n).orbits == orbits_oracle(gens, p ** n)
+
+
 def cycle(order):
     """The permutation sending order[i] to order[i + 1], cyclically."""
     perm = np.empty(len(order), dtype=np.intp)

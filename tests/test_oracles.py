@@ -659,13 +659,13 @@ def test_preserves_cones_matches_set_oracle(p, h, n):
     assert any(verdicts) and not all(verdicts)
 
 
-@pytest.mark.parametrize("block", [space.BLOCK, 40])
+@pytest.mark.parametrize("block", [space.BLOCK, 2 ** 16, 40])
 @pytest.mark.parametrize("p,h,n", [(3, 1, 3), (5, 1, 3)])
 def test_cones_preserved_matches_set_oracle_on_a_stack(monkeypatch, p, h, n, block):
     """One stack of random bijections, the engine's generators and each
     with two images swapped: cones_preserved and zero_iff_preserved give
-    every row the set oracle's answer, also when the cones are built and
-    mapped one row per block."""
+    every row the set oracle's answer, with the default block, a larger one,
+    and when the cones are built and mapped one row per block."""
     monkeypatch.setattr(space, "BLOCK", block)
     field = Field(p, h)
     total = space.num_points(field, n)
